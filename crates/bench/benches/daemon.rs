@@ -7,8 +7,9 @@
 //! * **cold** — one full in-process `check` over the merged program,
 //!   no store, no residency: what a plain CLI invocation pays;
 //! * **edit barrier** — the daemon's epoch turnover after a one-file
-//!   edit: re-lower, partition diff, store adoption of every clean
-//!   cluster, and the deferred `edit_ok` reply;
+//!   edit: the one lowering of the edited workspace, partition diff,
+//!   store adoption of every clean cluster, and the deferred `edit_ok`
+//!   reply;
 //! * **warm re-check** — the `check` request against the rebuilt
 //!   resident session, where clean clusters answer from adopted
 //!   summaries.
@@ -244,6 +245,7 @@ fn main() {
             "{{\n  \"bench\": \"daemon\",\n",
             "  \"compare\": \"cold-check-vs-warm-daemon-recheck-after-1-file-edit\",\n",
             "  \"unit\": \"seconds\",\n",
+            "  \"cores\": {},\n",
             "  \"files\": {}, \"chain\": {}, \"findings\": {}, \"edits\": {},\n",
             "  \"cold_check_secs\": {:.6},\n",
             "  \"edit_barrier_secs\": {{\"p50\": {:.6}, \"p90\": {:.6}, \"max\": {:.6}}},\n",
@@ -252,6 +254,7 @@ fn main() {
             "  \"cold_over_warm_recheck\": {:.2},\n",
             "  \"cold_over_warm_turnaround\": {:.2}\n}}\n"
         ),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         N_FILES + 1,
         CHAIN,
         findings,

@@ -136,6 +136,14 @@ pub(crate) fn check(
     rs: &mut Resolver<'_, '_>,
 ) -> (Vec<Finding>, usize, usize) {
     let program = session.program();
+    // Without a spawn there is one thread at most, so no pair of
+    // accesses can race: skip the escape analysis entirely.
+    let spawns = program
+        .functions()
+        .any(|f| f.locs().any(|(_, s)| matches!(s, Stmt::Spawn(_))));
+    if !spawns {
+        return (Vec::new(), 0, 0);
+    }
     let esc = escape::analyze(program, |v| session.steens().points_to_vars(v).to_vec());
     if esc.thread_count() < 2 {
         return (Vec::new(), 0, 0);

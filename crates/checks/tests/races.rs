@@ -155,6 +155,23 @@ fn single_thread_program_has_no_races() {
 }
 
 #[test]
+fn program_without_spawn_costs_no_race_work() {
+    // Locks, loads and stores, but no spawn: the checker returns before
+    // resolving a single lock or dereference site.
+    let r = check(
+        "int g; int m; int *p; int *l; int x;
+         void main() { l = &m; p = &g; lock(l); x = *p; *p = x; unlock(l); }",
+    );
+    assert!(races(&r).is_empty(), "unexpected: {:?}", r.findings);
+    let race_stats = r
+        .stats
+        .iter()
+        .find(|s| s.kind == CheckerKind::Race)
+        .unwrap();
+    assert_eq!((race_stats.sites, race_stats.queries), (0, 0));
+}
+
+#[test]
 fn private_heap_per_thread_is_clean() {
     // Each thread dereferences only memory it allocated itself.
     let r = check(

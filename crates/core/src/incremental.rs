@@ -11,11 +11,12 @@
 //! can observe:
 //!
 //! * its sorted member-variable names (membership change ⇒ new identity);
-//! * the full statement text of every function its relevant slice
-//!   touches, *closed upward over the call graph* — the FSCS climb
-//!   (Algorithm 3) walks backward through callers, so a caller body edit
-//!   can change a warm query's answer even when the slice lines are
-//!   untouched;
+//! * the body hash of every function its relevant slice touches,
+//!   *closed upward over the call graph* — the FSCS climb (Algorithm 3)
+//!   walks backward through callers, so a caller body edit can change a
+//!   warm query's answer even when the slice lines are untouched. A
+//!   body hash covers the function's name, arity and every statement's
+//!   rendered text, and is computed once per session;
 //! * the pointer-ness of every slice variable.
 //!
 //! Partitions also carry **dependency edges** to the partitions owning
@@ -23,6 +24,10 @@
 //! FSCI oracle for those variables, and the oracle resolves through the
 //! owner partition's engine. Dirtiness propagates along these edges to a
 //! fixpoint, so a clean partition's entire oracle closure is clean too.
+//!
+//! The units are built once per session and shared by [`diff_and_adopt`]
+//! and [`snapshot`], so an epoch barrier that calls both fingerprints
+//! once.
 //!
 //! Between epochs, [`diff_and_adopt`] matches partitions by *canonical
 //! id* (hash of sorted member names), compares fingerprints, closes the
@@ -36,7 +41,7 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::hash::Hasher;
 
 use bootstrap_analyses::ClassId;
-use bootstrap_ir::{display::stmt_to_string, FuncId, Program, VarId};
+use bootstrap_ir::{FuncId, Program, VarId};
 use bootstrap_store::{FxHasher64, FORMAT_VERSION};
 
 use crate::cover::ClusterOrigin;
@@ -78,8 +83,11 @@ impl DirtyReport {
     }
 }
 
+/// An epoch's tracking units by canonical partition id.
+pub(crate) type Units = BTreeMap<u64, Unit>;
+
 /// One partition's derived tracking state within an epoch.
-struct Unit {
+pub(crate) struct Unit {
     class: ClassId,
     fingerprint: u64,
     deps: Vec<u64>,
@@ -92,12 +100,12 @@ struct Unit {
 /// Takes the partition snapshot of `session`'s epoch, for diffing against
 /// a later epoch with [`diff_and_adopt`].
 pub fn snapshot(session: &Session<'_>) -> PartitionSnapshot {
-    let units = build_units(session);
     PartitionSnapshot {
         program_hash: session.program_content_hash(),
-        fingerprints: units
-            .into_iter()
-            .map(|(id, u)| (id, u.fingerprint))
+        fingerprints: session
+            .units()
+            .iter()
+            .map(|(&id, u)| (id, u.fingerprint))
             .collect(),
     }
 }
@@ -113,7 +121,7 @@ pub fn snapshot(session: &Session<'_>) -> PartitionSnapshot {
 /// and dirtiness closes transitively over the partitions whose engines
 /// the FSCI oracle consults.
 pub fn diff_and_adopt(prev: &PartitionSnapshot, session: &Session<'_>) -> DirtyReport {
-    let units = build_units(session);
+    let units = session.units();
     // Seed: new identity or changed content.
     let mut dirty: HashSet<u64> = units
         .iter()
@@ -123,7 +131,7 @@ pub fn diff_and_adopt(prev: &PartitionSnapshot, session: &Session<'_>) -> DirtyR
     // Propagate along dependency edges to a fixpoint.
     loop {
         let before = dirty.len();
-        for (id, u) in &units {
+        for (id, u) in units {
             if !dirty.contains(id) && u.deps.iter().any(|d| dirty.contains(d)) {
                 dirty.insert(*id);
             }
@@ -185,11 +193,12 @@ fn cluster_class(origin: &ClusterOrigin) -> Option<ClassId> {
 }
 
 /// Builds the epoch's tracking units: every alias partition, plus every
-/// class reached as an oracle dependency, fingerprinted and linked.
-fn build_units(session: &Session<'_>) -> BTreeMap<u64, Unit> {
+/// class reached as an oracle dependency, fingerprinted and linked. Use
+/// the session's memo ([`Session::units`]) instead of calling this.
+pub(crate) fn build_units(session: &Session<'_>) -> Units {
     let program = session.program();
     let steens = session.steens();
-    let mut units: BTreeMap<u64, Unit> = BTreeMap::new();
+    let mut units = Units::new();
     let mut seen: HashSet<ClassId> = HashSet::new();
     let mut queue: VecDeque<(ClassId, bool)> = steens
         .alias_partitions(program)
@@ -241,25 +250,11 @@ fn build_units(session: &Session<'_>) -> BTreeMap<u64, Unit> {
             hash_str(&mut h, name);
             h.write_u64(u64::from(*ptr));
         }
-        let mut func_texts: Vec<String> = funcs
-            .iter()
-            .map(|&f| {
-                let func = program.func(f);
-                let mut text = format!("fn {}({})\n", func.name(), func.params().len());
-                for (loc, stmt) in func.locs() {
-                    text.push_str(&format!(
-                        "{}: {}\n",
-                        loc.stmt,
-                        stmt_to_string(program, stmt)
-                    ));
-                }
-                text
-            })
-            .collect();
-        func_texts.sort_unstable();
-        h.write_u64(func_texts.len() as u64);
-        for t in &func_texts {
-            hash_str(&mut h, t);
+        let mut bodies: Vec<u64> = funcs.iter().map(|&f| session.body_hash(f)).collect();
+        bodies.sort_unstable();
+        h.write_u64(bodies.len() as u64);
+        for b in bodies {
+            h.write_u64(b);
         }
 
         // Oracle dependencies: the owner partitions of every slice var.
@@ -293,6 +288,21 @@ fn build_units(session: &Session<'_>) -> BTreeMap<u64, Unit> {
         );
     }
     units
+}
+
+/// Hash of one function's body: its name, arity and statement hashes
+/// (`lines`, from [`crate::persist::line_hashes`]) in order. Use the
+/// session's memo ([`Session::body_hash`]) instead of calling this.
+pub(crate) fn body_hash(program: &Program, f: FuncId, lines: &[u64]) -> u64 {
+    let func = program.func(f);
+    let mut h = FxHasher64::default();
+    hash_str(&mut h, func.name());
+    h.write_u64(func.params().len() as u64);
+    h.write_u64(lines.len() as u64);
+    for &l in lines {
+        h.write_u64(l);
+    }
+    h.finish()
 }
 
 /// The member set a partition's tiers answer over: the alias partition's
@@ -340,6 +350,27 @@ mod tests {
         let s1 = Session::new(&p, Config::default());
         let s2 = Session::new(&p, Config::default());
         assert_eq!(snapshot(&s1), snapshot(&s2));
+    }
+
+    #[test]
+    fn snapshot_after_diff_equals_a_fresh_snapshot() {
+        // The barrier calls diff_and_adopt then snapshot on one session;
+        // the shared unit memo must not change what the snapshot says.
+        let p1 = parse_program(TWO_NETWORKS).unwrap();
+        let prev = snapshot(&Session::new(&p1, Config::default()));
+        let p2 = parse_program(
+            "int a; int b; int *x; int *y;
+             int *idx(int *q) { return q; }
+             int *idy(int *r) { int *t; t = r; return t; }
+             void main() { x = idx(&a); y = idy(&b); }",
+        )
+        .unwrap();
+        let s2 = Session::new(&p2, Config::default());
+        let report = diff_and_adopt(&prev, &s2);
+        assert!(report.dirty_partitions > 0);
+        let fresh = snapshot(&Session::new(&p2, Config::default()));
+        assert_eq!(snapshot(&s2), fresh);
+        assert_ne!(fresh, prev);
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! inside it and how it is keyed:
 //!
 //! * **Key** — fxhash of (format version, result-affecting options, the
-//!   cluster's sorted member names, the sorted rendering of its
-//!   relevant-statement slice). Content-addressed: editing any relevant
-//!   statement moves the key, so stale entries are simply never found.
+//!   cluster's sorted member names, the sorted hashes of its
+//!   relevant-statement slice, each the hash of the statement's
+//!   `func@index: text` rendering). Content-addressed: editing any
+//!   relevant statement moves the key, so stale entries are simply never
+//!   found. Statement hashes come from a per-session table, and each
+//!   member set's key is derived once per session.
 //! * **Payload** — name tables (IR variable and function names are
 //!   globally unique mangled strings, e.g. `func::name`, `heap@func:3`,
 //!   `&func`, so a name is a position-independent reference) followed by
@@ -46,7 +49,9 @@ use crate::summary::{Source, SummaryKey, Value};
 pub(crate) struct ClusterStore {
     store: Store,
     options_hash: u64,
-    program_hash: u64,
+    /// Memo of [`ClusterStore::cluster_key`] by member set: consult and
+    /// publish of one cluster share a single derivation.
+    keys: RwLock<HashMap<Vec<VarId>, Option<u64>>>,
     /// Keys installed warm this run. A warm engine's recorded artifacts
     /// are a subset of the cold ones (queries answered from the store
     /// are not re-recorded), so publishing them back would shrink the
@@ -77,7 +82,7 @@ impl ClusterStore {
     /// Opens the session's store. `None` (persistence disabled) when the
     /// directory cannot be opened: a missing cache may cost time, never
     /// a run.
-    pub(crate) fn open(sc: StoreConfig, config: &Config, program: &Program) -> Option<Self> {
+    pub(crate) fn open(sc: StoreConfig, config: &Config) -> Option<Self> {
         let store = Store::open(sc).ok()?;
         // Phase-only match (ignoring any cluster scope): store consults
         // have no stable cluster slot to scope by.
@@ -87,7 +92,7 @@ impl ClusterStore {
         Some(ClusterStore {
             store,
             options_hash: options_hash(config),
-            program_hash: program_hash(program),
+            keys: RwLock::new(HashMap::new()),
             hit_keys: RwLock::new(HashSet::new()),
             faulted,
             adoption: RwLock::new(None),
@@ -109,7 +114,17 @@ impl ClusterStore {
     /// member name fails to round-trip through the program's name table
     /// (never the case for parsed or builder-made programs — names are
     /// mangled to be unique — but cheap to verify instead of trust).
-    fn cluster_key(&self, program: &Program, engine: &ClusterEngine) -> Option<u64> {
+    fn cluster_key(&self, session: &Session<'_>, engine: &ClusterEngine) -> Option<u64> {
+        if let Some(&key) = self.keys.read().get(engine.members()) {
+            return key;
+        }
+        let key = self.derive_key(session, engine);
+        self.keys.write().insert(engine.members().to_vec(), key);
+        key
+    }
+
+    fn derive_key(&self, session: &Session<'_>, engine: &ClusterEngine) -> Option<u64> {
+        let program = session.program();
         let mut h = FxHasher64::default();
         h.write_u64(u64::from(FORMAT_VERSION));
         h.write_u64(self.options_hash);
@@ -126,22 +141,15 @@ impl ClusterStore {
         for n in names {
             hash_str(&mut h, n);
         }
-        let mut lines: Vec<String> = engine
+        let mut lines: Vec<u64> = engine
             .relevant()
             .stmts()
-            .map(|loc| {
-                format!(
-                    "{}@{}: {}",
-                    program.func(loc.func).name(),
-                    loc.stmt,
-                    stmt_to_string(program, program.stmt_at(loc))
-                )
-            })
+            .map(|loc| session.line_hashes(loc.func)[loc.stmt as usize])
             .collect();
         lines.sort_unstable();
         h.write_u64(lines.len() as u64);
         for l in lines {
-            hash_str(&mut h, &l);
+            h.write_u64(l);
         }
         Some(h.finish())
     }
@@ -152,7 +160,7 @@ impl ClusterStore {
     /// builds the slice, before any solving.
     pub(crate) fn consult(&self, session: &Session<'_>, engine: &mut ClusterEngine) {
         let program = session.program();
-        let Some(key) = self.cluster_key(program, engine) else {
+        let Some(key) = self.cluster_key(session, engine) else {
             return;
         };
         if self.faulted {
@@ -167,7 +175,8 @@ impl ClusterStore {
             LoadOutcome::Miss | LoadOutcome::Invalidated => return,
         };
         let mut adopted = false;
-        if entry_program_hash != self.program_hash {
+        let program_hash = session.program_content_hash();
+        if entry_program_hash != program_hash {
             // A content-equal slice from a different program: the
             // summaries may have consulted FSCI facts that no longer
             // hold — unless the incremental differ proved every partition
@@ -203,7 +212,7 @@ impl ClusterStore {
             // the next epoch can chain its own adoption from this one.
             let _ = self
                 .store
-                .save(key, self.options_hash, self.program_hash, &payload);
+                .save(key, self.options_hash, program_hash, &payload);
         }
         self.hit_keys.write().insert(key);
     }
@@ -235,8 +244,7 @@ impl ClusterStore {
     /// keys installed warm this run; overwrites invalidated entries with
     /// the forced recompute's results.
     pub(crate) fn publish(&self, session: &Session<'_>, engine: &ClusterEngine) {
-        let program = session.program();
-        let Some(key) = self.cluster_key(program, engine) else {
+        let Some(key) = self.cluster_key(session, engine) else {
             return;
         };
         if self.hit_keys.read().contains(&key) {
@@ -245,9 +253,12 @@ impl ClusterStore {
         let Some(payload) = encode_payload(session, engine) else {
             return;
         };
-        let _ = self
-            .store
-            .save(key, self.options_hash, self.program_hash, &payload);
+        let _ = self.store.save(
+            key,
+            self.options_hash,
+            session.program_content_hash(),
+            &payload,
+        );
     }
 }
 
@@ -281,6 +292,22 @@ pub(crate) fn program_hash(program: &Program) -> u64 {
     let mut h = FxHasher64::default();
     hash_str(&mut h, &program.to_string());
     h.finish()
+}
+
+/// One hash per statement of `f`, indexed by statement: the fxhash of
+/// its `func@index: text` rendering. Store keys and partition
+/// fingerprints are built from these instead of re-rendering text.
+pub(crate) fn line_hashes(program: &Program, f: FuncId) -> Box<[u64]> {
+    let func = program.func(f);
+    func.locs()
+        .map(|(loc, stmt)| {
+            let mut h = FxHasher64::default();
+            hash_str(&mut h, func.name());
+            h.write_u64(u64::from(loc.stmt));
+            hash_str(&mut h, &stmt_to_string(program, stmt));
+            h.finish()
+        })
+        .collect()
 }
 
 /// Name tables under construction during encoding. Interning verifies the

@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bootstrap_analyses::{andersen, oneflow, steensgaard, SteensgaardResult};
@@ -33,6 +33,7 @@ use crate::degrade::{
 };
 use crate::engine::EngineCx;
 use crate::fsci_cache::{FsciCacheStats, SharedFsciCache};
+use crate::incremental::Units;
 use crate::intern::{Interner, InternerStats};
 use crate::persist::ClusterStore;
 use crate::profile::{Phase, PhaseProfile, PhaseSnapshot};
@@ -238,6 +239,18 @@ pub struct Session<'p> {
     warm_queries: RwLock<HashMap<(VarId, Loc), Arc<QuerySources>>>,
     /// Cold full-precision answers recorded for the next publish.
     pending_queries: RwLock<HashMap<(VarId, Loc), QuerySources>>,
+    /// Memo of [`crate::persist::line_hashes`] per function: every
+    /// statement is rendered once per session, however many store keys
+    /// and partition fingerprints include it.
+    line_hashes: Vec<OnceLock<Box<[u64]>>>,
+    /// Memo of [`crate::incremental::body_hash`] per function.
+    body_hashes: Vec<OnceLock<u64>>,
+    /// Memo of [`Session::program_content_hash`].
+    program_hash: OnceLock<u64>,
+    /// Memo of the incremental tracking units, shared by
+    /// [`crate::incremental::diff_and_adopt`] and
+    /// [`crate::incremental::snapshot`].
+    units: OnceLock<Units>,
 }
 
 /// Cached tier-2 artifacts for one alias partition: the slice Andersen
@@ -289,7 +302,13 @@ impl<'p> Session<'p> {
         let store = config
             .store
             .clone()
-            .and_then(|sc| ClusterStore::open(sc, &config, program));
+            .and_then(|sc| ClusterStore::open(sc, &config));
+        // Every store consult and publish is gated on the program hash,
+        // so a session with a store computes it up front.
+        let program_hash = OnceLock::new();
+        if store.is_some() {
+            program_hash.get_or_init(|| crate::persist::program_hash(program));
+        }
         Self {
             program,
             config,
@@ -312,6 +331,10 @@ impl<'p> Session<'p> {
             store,
             warm_queries: RwLock::new(HashMap::new()),
             pending_queries: RwLock::new(HashMap::new()),
+            line_hashes: (0..program.func_count()).map(|_| OnceLock::new()).collect(),
+            body_hashes: (0..program.func_count()).map(|_| OnceLock::new()).collect(),
+            program_hash,
+            units: OnceLock::new(),
         }
     }
 
@@ -573,7 +596,28 @@ impl<'p> Session<'p> {
     /// Whole-program content hash — the persistent store's cross-run
     /// validity gate. Stable across sessions over identical program text.
     pub fn program_content_hash(&self) -> u64 {
-        crate::persist::program_hash(self.program)
+        *self
+            .program_hash
+            .get_or_init(|| crate::persist::program_hash(self.program))
+    }
+
+    /// Per-statement hashes of `f`'s body, indexed by statement (see
+    /// [`crate::persist::line_hashes`]); computed once per session.
+    pub(crate) fn line_hashes(&self, f: FuncId) -> &[u64] {
+        self.line_hashes[f.index()].get_or_init(|| crate::persist::line_hashes(self.program, f))
+    }
+
+    /// Hash of `f`'s rendered body (see [`crate::incremental::body_hash`]);
+    /// computed once per session.
+    pub(crate) fn body_hash(&self, f: FuncId) -> u64 {
+        *self.body_hashes[f.index()]
+            .get_or_init(|| crate::incremental::body_hash(self.program, f, self.line_hashes(f)))
+    }
+
+    /// The epoch's incremental tracking units; built once per session.
+    pub(crate) fn units(&self) -> &Units {
+        self.units
+            .get_or_init(|| crate::incremental::build_units(self))
     }
 
     /// Arms cross-epoch store adoption: persisted entries recorded under

@@ -5,8 +5,9 @@
 //! sequence of **epochs**: within an epoch the program is immutable and
 //! a fixed pool of workers answers `check`/`query`/`stats` requests
 //! concurrently; an accepted `edit` ends the epoch, the workers drain,
-//! the workspace advances, and the next epoch's session is rebuilt with
-//! the incremental machinery ([`diff_and_adopt`]) arming the persistent
+//! the epoch thread lowers the edited workspace (once), the workspace
+//! advances, and the next epoch's session is rebuilt with the
+//! incremental machinery ([`diff_and_adopt`]) arming the persistent
 //! store to adopt every cluster the edit provably did not touch.
 //!
 //! Robustness layers, in request order:
@@ -18,7 +19,8 @@
 //!   carry a wall deadline and a cancel flag; a watchdog thread polls
 //!   in-flight connections and flips the flag when the client vanishes,
 //!   so abandoned work degrades down the precision ladder and returns
-//!   instead of wedging a worker.
+//!   instead of wedging a worker. The watchdog is woken as soon as the
+//!   epoch's last request finishes, so it never delays the barrier.
 //! * **Isolation** — request handlers run under `catch_unwind`; a
 //!   panicked batch is retried once on a fresh analyzer with a doubled
 //!   interning arena (the parallel driver's cluster-retry idiom), and a
@@ -64,7 +66,8 @@ const READ_TIMEOUT_MS: u64 = 2_000;
 const WRITE_TIMEOUT_MS: u64 = 2_000;
 /// Worker stall injected by a `budget` serve fault.
 const STALL_MS: u64 = 120;
-/// Watchdog poll interval for disconnect detection.
+/// Watchdog poll interval for disconnect detection (the epoch's end
+/// wakes it early).
 const WATCH_POLL_MS: u64 = 10;
 
 /// Configuration for [`serve`].
@@ -137,11 +140,12 @@ struct Daemon {
 
 /// Why an epoch's serving scope wound down.
 enum EpochOutcome {
-    /// An edit was accepted; reply with `edit_ok` once the next epoch
-    /// (and its dirty accounting) is up.
+    /// An edit was accepted and lowered; reply with `edit_ok` once the
+    /// next epoch (and its dirty accounting) is up.
     Edit {
         reply: UnixStream,
         next: Workspace,
+        program: Program,
     },
     Shutdown,
 }
@@ -169,6 +173,36 @@ struct EpochShared {
     shutdown: AtomicBool,
     pending_edit: Mutex<Option<PendingEdit>>,
     watch: Mutex<Vec<WatchEntry>>,
+    /// Signalled when the epoch's last request finishes.
+    watch_wake: Condvar,
+}
+
+impl EpochShared {
+    fn new() -> EpochShared {
+        EpochShared {
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            active: AtomicU64::new(0),
+            end: AtomicBool::new(false),
+            shutdown: AtomicBool::new(false),
+            pending_edit: Mutex::new(None),
+            watch: Mutex::new(Vec::new()),
+            watch_wake: Condvar::new(),
+        }
+    }
+
+    /// Ends the epoch: the acceptor stops, idle workers exit.
+    fn end(&self) {
+        self.end.store(true, Ordering::SeqCst);
+        self.available.notify_all();
+    }
+
+    /// Wakes the watchdog. Taking the watch lock first means a watchdog
+    /// between its exit check and its wait cannot miss the signal.
+    fn wake_watchdog(&self) {
+        drop(self.watch.lock().unwrap_or_else(|e| e.into_inner()));
+        self.watch_wake.notify_all();
+    }
 }
 
 /// Immutable per-epoch context handed to every worker.
@@ -194,33 +228,21 @@ impl Daemon {
     }
 
     fn run(&self) -> io::Result<()> {
-        let seed = || {
-            Workspace::from_sources(
-                self.opts
-                    .seed_files
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str())),
-            )
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
+        let invalid =
+            |e: WorkspaceError| io::Error::new(io::ErrorKind::InvalidInput, e.to_string());
+        let build = |files: &BTreeMap<String, String>| {
+            Workspace::from_sources(files.iter().map(|(k, v)| (k.as_str(), v.as_str())))
         };
-        let mut workspace = seed()?;
-        let mut epoch: u64 = 0;
+        let seed = build(&self.opts.seed_files).map_err(invalid)?;
 
         // Crash recovery: replay the last durable epoch, if any. A
         // corrupt journal is logged and demoted to the seed workspace.
+        let mut recovered = None;
         if let Some(jp) = self.journal_path() {
             match journal::load(&jp) {
                 Ok(Some(state)) => {
-                    let sources = state
-                        .files
-                        .iter()
-                        .map(|(k, v)| (k.as_str(), v.as_str()))
-                        .collect::<Vec<_>>();
-                    match Workspace::from_sources(sources) {
-                        Ok(ws) => {
-                            workspace = ws;
-                            epoch = state.epoch;
-                        }
+                    match build(&state.files).and_then(|ws| ws.lower().map(|p| (ws, p))) {
+                        Ok((ws, program)) => recovered = Some((ws, program, state.epoch)),
                         Err(e) => eprintln!(
                             "bootstrap-daemon: journaled workspace no longer builds ({e}); \
                              starting from seed"
@@ -232,6 +254,15 @@ impl Daemon {
                     eprintln!("bootstrap-daemon: {e}; starting from seed workspace");
                 }
             }
+        }
+        let (mut workspace, mut program, mut epoch) = match recovered {
+            Some(start) => start,
+            None => {
+                let program = seed.lower().map_err(invalid)?;
+                (seed, program, 0)
+            }
+        };
+        if let Some(jp) = self.journal_path() {
             // Make the starting epoch durable immediately so a kill
             // before the first edit still recovers to it.
             if let Err(e) = journal::save(&jp, epoch, &workspace.sources()) {
@@ -251,10 +282,6 @@ impl Daemon {
         let mut pending_reply: Option<UnixStream> = None;
         let mut last_dirty: Option<DirtySummary> = None;
         loop {
-            let program = workspace.lower().unwrap_or_else(|e| {
-                eprintln!("bootstrap-daemon: resident workspace failed to lower ({e})");
-                bootstrap_ir::lower::lower(&Default::default())
-            });
             let outcome = self.run_epoch(
                 &listener,
                 &program,
@@ -269,8 +296,13 @@ impl Daemon {
                     let _ = fs::remove_file(&self.opts.socket);
                     return Ok(());
                 }
-                EpochOutcome::Edit { reply, next } => {
+                EpochOutcome::Edit {
+                    reply,
+                    next,
+                    program: lowered,
+                } => {
                     workspace = next;
+                    program = lowered;
                     epoch += 1;
                     if let Some(jp) = self.journal_path() {
                         if let Err(e) = journal::save(&jp, epoch, &workspace.sources()) {
@@ -348,36 +380,56 @@ impl Daemon {
             epoch,
             dirty_now: last_dirty.clone(),
         };
-        let shared = EpochShared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            active: AtomicU64::new(0),
-            end: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            pending_edit: Mutex::new(None),
-            watch: Mutex::new(Vec::new()),
-        };
+        loop {
+            let shared = EpochShared::new();
+            std::thread::scope(|s| {
+                for _ in 0..self.opts.workers.max(1) {
+                    s.spawn(|| self.worker(&shared, &cx));
+                }
+                s.spawn(|| self.watchdog(&shared));
+                self.acceptor(listener, &shared);
+            });
 
-        std::thread::scope(|s| {
-            for _ in 0..self.opts.workers.max(1) {
-                s.spawn(|| self.worker(&shared, &cx));
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return EpochOutcome::Shutdown;
             }
-            s.spawn(|| self.watchdog(&shared));
-            self.acceptor(listener, &shared);
-        });
+            let PendingEdit { mut reply, next } = shared
+                .pending_edit
+                .into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("epoch ended without edit or shutdown");
+            // The edit's one lowering, on the epoch thread. The worker
+            // already checked the parse and cross-file names, so this
+            // fails only on a lowering defect; the epoch then resumes
+            // serving the unchanged session.
+            match next.lower() {
+                Ok(program) => {
+                    self.counters.edits_applied.fetch_add(1, Ordering::Relaxed);
+                    return EpochOutcome::Edit {
+                        reply,
+                        next,
+                        program,
+                    };
+                }
+                Err(e) => self.reject_edit(&mut reply, &e),
+            }
+        }
+    }
 
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return EpochOutcome::Shutdown;
-        }
-        let pending = shared
-            .pending_edit
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .expect("epoch ended without edit or shutdown");
-        EpochOutcome::Edit {
-            reply: pending.reply,
-            next: pending.next,
-        }
+    /// Answers a rejected edit with its structured error kind.
+    fn reject_edit(&self, conn: &mut UnixStream, e: &WorkspaceError) {
+        self.counters.edits_rejected.fetch_add(1, Ordering::Relaxed);
+        let kind = match e {
+            WorkspaceError::Parse { .. } => "parse-error",
+            WorkspaceError::Duplicate { .. } | WorkspaceError::Lower(_) => "invalid-edit",
+        };
+        let _ = write_response(
+            conn,
+            &Response::Error {
+                kind: kind.into(),
+                message: e.to_string(),
+            },
+        );
     }
 
     /// Accepts connections into the bounded queue, shedding beyond the
@@ -417,28 +469,30 @@ impl Daemon {
     /// cancel flag so the ladder abandons the work at the next budget
     /// checkpoint.
     fn watchdog(&self, shared: &EpochShared) {
+        let mut watch = shared.watch.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if shared.end.load(Ordering::SeqCst) && shared.active.load(Ordering::SeqCst) == 0 {
                 return;
             }
-            {
-                let mut watch = shared.watch.lock().unwrap_or_else(|e| e.into_inner());
-                for entry in watch.iter_mut() {
-                    // A non-blocking 1-byte read: `Ok(0)` is EOF (the
-                    // client hung up), `WouldBlock` means still
-                    // connected and quiet. The protocol is one request
-                    // per connection, so any byte consumed here was
-                    // excess the server would never read anyway.
-                    let mut buf = [0u8; 1];
-                    match io::Read::read(&mut entry.stream, &mut buf) {
-                        Ok(0) => entry.cancel.store(true, Ordering::SeqCst),
-                        Ok(_) => {}
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                        Err(_) => entry.cancel.store(true, Ordering::SeqCst),
-                    }
+            for entry in watch.iter_mut() {
+                // A non-blocking 1-byte read: `Ok(0)` is EOF (the
+                // client hung up), `WouldBlock` means still
+                // connected and quiet. The protocol is one request
+                // per connection, so any byte consumed here was
+                // excess the server would never read anyway.
+                let mut buf = [0u8; 1];
+                match io::Read::read(&mut entry.stream, &mut buf) {
+                    Ok(0) => entry.cancel.store(true, Ordering::SeqCst),
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(_) => entry.cancel.store(true, Ordering::SeqCst),
                 }
             }
-            std::thread::sleep(Duration::from_millis(WATCH_POLL_MS));
+            watch = shared
+                .watch_wake
+                .wait_timeout(watch, Duration::from_millis(WATCH_POLL_MS))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 
@@ -463,6 +517,9 @@ impl Daemon {
             let Some(conn) = conn else { return };
             self.handle(conn, shared, cx);
             shared.active.fetch_sub(1, Ordering::SeqCst);
+            if shared.end.load(Ordering::SeqCst) {
+                shared.wake_watchdog();
+            }
         }
     }
 
@@ -537,8 +594,7 @@ impl Daemon {
             Request::Shutdown => {
                 let _ = write_response(&mut conn, &Response::ShutdownOk);
                 shared.shutdown.store(true, Ordering::SeqCst);
-                shared.end.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
+                shared.end();
             }
         }
     }
@@ -743,34 +799,23 @@ impl Daemon {
             );
             return;
         }
+        // Parse and name checks only: the epoch thread lowers the
+        // accepted workspace once, at the barrier.
         let validated = cx
             .workspace
             .with_edit(file, content)
-            .and_then(|ws| ws.lower().map(|_| ws));
+            .and_then(|ws| ws.check_names().map(|()| ws));
         match validated {
             Err(e) => {
                 drop(pending);
-                self.counters.edits_rejected.fetch_add(1, Ordering::Relaxed);
-                let kind = match e {
-                    WorkspaceError::Parse { .. } => "parse-error",
-                    WorkspaceError::Duplicate { .. } | WorkspaceError::Lower(_) => "invalid-edit",
-                };
-                let _ = write_response(
-                    &mut conn,
-                    &Response::Error {
-                        kind: kind.into(),
-                        message: e.to_string(),
-                    },
-                );
+                self.reject_edit(&mut conn, &e);
             }
             Ok(next) => {
-                self.counters.edits_applied.fetch_add(1, Ordering::Relaxed);
                 // The reply is deferred: it carries the next epoch's
                 // dirty accounting, so it is written after the barrier.
                 *pending = Some(PendingEdit { reply: conn, next });
                 drop(pending);
-                shared.end.store(true, Ordering::SeqCst);
-                shared.available.notify_all();
+                shared.end();
             }
         }
     }

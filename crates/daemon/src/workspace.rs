@@ -1,17 +1,20 @@
 //! The daemon's resident source workspace.
 //!
 //! A workspace is a set of named mini-C files. Each file's **parse** is
-//! an immutable per-file artifact: an `edit` re-parses only the touched
-//! file and reuses every other file's cached [`Ast`] unchanged. The
-//! derived whole-program [`Program`] is rebuilt per epoch by
-//! concatenating the cached per-file ASTs in file-name order and
-//! lowering once — the explicit boundary between immutable per-file
-//! inputs and derived analysis state that incremental invalidation
-//! diffs across.
+//! an immutable per-file artifact, shared behind an [`Arc`]: an `edit`
+//! re-parses only the touched file and copies pointers to every other
+//! file's cached [`Ast`]. Validation is split in two: [`Workspace::with_edit`]
+//! parses and [`Workspace::check_names`] rejects cross-file collisions,
+//! both cheap enough for a request worker; the derived whole-program
+//! [`Program`] is built by [`Workspace::lower`], which concatenates the
+//! cached per-file ASTs in file-name order and lowers once per epoch —
+//! the explicit boundary between immutable per-file inputs and derived
+//! analysis state that incremental invalidation diffs across.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use bootstrap_ir::ast::Ast;
 use bootstrap_ir::lower::lower;
@@ -57,16 +60,29 @@ impl fmt::Display for WorkspaceError {
 impl std::error::Error for WorkspaceError {}
 
 /// One file's immutable artifacts: source text and its parse.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct FileArtifact {
     source: String,
     ast: Ast,
 }
 
+impl FileArtifact {
+    fn parse(file: &str, source: &str) -> Result<Arc<FileArtifact>, WorkspaceError> {
+        let ast = parse(source).map_err(|e| WorkspaceError::Parse {
+            file: file.to_string(),
+            message: format!("{} at {}:{}", e.msg, e.line, e.col),
+        })?;
+        Ok(Arc::new(FileArtifact {
+            source: source.to_string(),
+            ast,
+        }))
+    }
+}
+
 /// A set of named source files with cached per-file parses.
 #[derive(Clone, Debug, Default)]
 pub struct Workspace {
-    files: BTreeMap<String, FileArtifact>,
+    files: BTreeMap<String, Arc<FileArtifact>>,
 }
 
 impl Workspace {
@@ -75,17 +91,18 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// Builds a workspace from `(name, source)` pairs, parsing each file.
+    /// Builds a workspace from `(name, source)` pairs, parsing each file
+    /// and rejecting cross-file name collisions up front. Lowering (and
+    /// its rare panics) is left to [`Workspace::lower`].
     pub fn from_sources<'a>(
         sources: impl IntoIterator<Item = (&'a str, &'a str)>,
     ) -> Result<Workspace, WorkspaceError> {
-        let mut ws = Workspace::new();
-        for (name, source) in sources {
-            ws = ws.with_edit(name, Some(source))?;
-        }
-        // Cross-file validation (duplicates) happens at lower time; run
-        // it now so a bad seed set is rejected up front.
-        ws.lower()?;
+        let files = sources
+            .into_iter()
+            .map(|(name, source)| Ok((name.to_string(), FileArtifact::parse(name, source)?)))
+            .collect::<Result<_, WorkspaceError>>()?;
+        let ws = Workspace { files };
+        ws.check_names()?;
         Ok(ws)
     }
 
@@ -104,8 +121,9 @@ impl Workspace {
 
     /// A copy of this workspace with one file replaced (or removed when
     /// `content` is `None`). Only the touched file is re-parsed; every
-    /// other file's cached parse is reused. The result is **not** yet
-    /// validated across files — call [`Workspace::lower`] to validate.
+    /// other file's cached parse is shared. The result is **not** yet
+    /// validated across files — call [`Workspace::check_names`] (or
+    /// [`Workspace::lower`], which runs it) to validate.
     pub fn with_edit(
         &self,
         file: &str,
@@ -117,27 +135,17 @@ impl Workspace {
                 next.files.remove(file);
             }
             Some(source) => {
-                let ast = parse(source).map_err(|e| WorkspaceError::Parse {
-                    file: file.to_string(),
-                    message: format!("{} at {}:{}", e.msg, e.line, e.col),
-                })?;
-                next.files.insert(
-                    file.to_string(),
-                    FileArtifact {
-                        source: source.to_string(),
-                        ast,
-                    },
-                );
+                next.files
+                    .insert(file.to_string(), FileArtifact::parse(file, source)?);
             }
         }
         Ok(next)
     }
 
-    /// Merges the cached per-file ASTs (in file-name order) and lowers
-    /// the whole program. Cross-file name collisions and lowering panics
-    /// are reported as errors, never propagated.
-    pub fn lower(&self) -> Result<Program, WorkspaceError> {
-        let mut merged = Ast::default();
+    /// Rejects two files defining the same function, global, or struct —
+    /// the cross-file validation an edit needs before it is accepted,
+    /// without lowering anything.
+    pub fn check_names(&self) -> Result<(), WorkspaceError> {
         let mut funcs: HashSet<&str> = HashSet::new();
         let mut globals: HashSet<&str> = HashSet::new();
         let mut structs: HashSet<&str> = HashSet::new();
@@ -167,6 +175,18 @@ impl Workspace {
                     });
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Merges the cached per-file ASTs (in file-name order) and lowers
+    /// the whole program. Cross-file name collisions and lowering panics
+    /// are reported as errors, never propagated.
+    pub fn lower(&self) -> Result<Program, WorkspaceError> {
+        self.check_names()?;
+        let mut merged = Ast::default();
+        for artifact in self.files.values() {
+            let ast = &artifact.ast;
             merged.structs.extend(ast.structs.iter().cloned());
             merged.globals.extend(ast.globals.iter().cloned());
             merged.funcs.extend(ast.funcs.iter().cloned());
@@ -228,6 +248,22 @@ mod tests {
                 name: "main".into()
             }
         );
+    }
+
+    #[test]
+    fn name_checks_run_without_lowering() {
+        let ws = Workspace::from_sources([("a.c", "int g; void main() { }")]).unwrap();
+        let edited = ws.with_edit("b.c", Some("int g; void f() { }")).unwrap();
+        assert_eq!(
+            edited.check_names(),
+            Err(WorkspaceError::Duplicate {
+                what: "global",
+                name: "g".into()
+            })
+        );
+        assert!(ws.check_names().is_ok());
+        let dup = Workspace::from_sources([("a.c", "void main() { }"), ("b.c", "void main() { }")]);
+        assert!(matches!(dup, Err(WorkspaceError::Duplicate { .. })));
     }
 
     #[test]

@@ -551,3 +551,54 @@ fn remove_file_is_validated() {
     client.request(&Request::Shutdown).unwrap();
     handle.join().unwrap().unwrap();
 }
+
+/// Edits are validated in two places: the worker rejects bad parses and
+/// cross-file collisions before the epoch ends, and the epoch thread
+/// lowers what it accepted. The counters follow the outcome, not the
+/// request.
+#[test]
+fn worker_rejects_bad_edits_and_counters_follow_outcomes() {
+    let socket = tmp_socket("counters");
+    let mut opts = ServeOptions::new(&socket);
+    opts.seed_files = files_for(&seed_state());
+    let handle = spawn_daemon(opts);
+    wait_socket(&socket);
+    let client = Client::new(&socket);
+    let counts = |client: &Client| {
+        let stats = client.request(&Request::Stats).unwrap();
+        (
+            stats_field(&stats, "epoch"),
+            stats_field(&stats, "edits_applied"),
+            stats_field(&stats, "edits_rejected"),
+        )
+    };
+
+    let mut state = seed_state();
+    state.insert("c.c", 2);
+    assert!(matches!(
+        edit(&client, "c.c", &variant("c", 2)),
+        Response::EditOk { epoch: 1, .. }
+    ));
+    assert_eq!(counts(&client), (1, 1, 0));
+
+    match edit(&client, "a.c", "int *p = = 3;") {
+        Response::Error { kind, .. } => assert_eq!(kind, "parse-error"),
+        other => panic!("expected parse-error, got {other:?}"),
+    }
+    assert_eq!(counts(&client), (1, 1, 1));
+
+    match edit(&client, "extra.c", "int *cid(int *r) { return r; }") {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, "invalid-edit");
+            assert!(message.contains("cid"), "{message}");
+        }
+        other => panic!("expected invalid-edit, got {other:?}"),
+    }
+    assert_eq!(counts(&client), (1, 1, 2));
+
+    // The rejected edits left the accepted epoch in place.
+    let (text, _) = check_text(&client);
+    assert_eq!(text, cold_eval(&files_for(&state)).text);
+    client.request(&Request::Shutdown).unwrap();
+    handle.join().unwrap().unwrap();
+}

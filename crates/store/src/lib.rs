@@ -40,6 +40,7 @@ use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use codec::{Reader, Writer};
 
@@ -73,7 +74,10 @@ pub struct StoreConfig {
     /// (no publishes, no counter flushes, no eviction).
     pub read_only: bool,
     /// Soft cap on the summed entry size; writes evict the oldest
-    /// entries (by modification time) until the store fits again.
+    /// entries (by modification time) until the store fits again. Each
+    /// opening tracks the size in memory and scans the directory only
+    /// when its count passes the cap, so with several openings writing
+    /// one directory it may overshoot until one of them scans.
     pub max_bytes: u64,
 }
 
@@ -183,6 +187,10 @@ pub struct Store {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidated: AtomicU64,
+    /// Summed entry size as this opening last knew it: `None` until the
+    /// first save scans the directory, then kept up to date by each save
+    /// and reset by each eviction scan.
+    size: Mutex<Option<u64>>,
 }
 
 impl Store {
@@ -201,6 +209,7 @@ impl Store {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
+            size: Mutex::new(None),
         })
     }
 
@@ -286,7 +295,8 @@ impl Store {
 
     /// Writes (or overwrites) the entry for `key`. A no-op on read-only
     /// stores. The write is atomic (temp file + rename) and is followed
-    /// by size-cap eviction of the oldest entries.
+    /// by size-cap eviction of the oldest entries whenever the tracked
+    /// size passes the cap (see [`StoreConfig::max_bytes`]).
     ///
     /// # Errors
     ///
@@ -313,21 +323,36 @@ impl Store {
             .config
             .dir
             .join(format!(".tmp-{key:016x}-{}", std::process::id()));
+        let bytes = w.finish();
+        let path = self.entry_path(key);
         let _lock = self.lock_exclusive();
-        fs::write(&tmp, w.finish())?;
-        fs::rename(&tmp, self.entry_path(key))?;
-        self.evict_to_cap();
+        let replaced = fs::metadata(&path).map_or(0, |m| m.len());
+        fs::write(&tmp, &bytes)?;
+        fs::rename(&tmp, &path)?;
+        let cap = self.config.max_bytes;
+        if cap == u64::MAX {
+            return Ok(());
+        }
+        let mut size = self.size.lock().unwrap_or_else(|e| e.into_inner());
+        let tracked = match *size {
+            Some(n) => (n + bytes.len() as u64).saturating_sub(replaced),
+            // First save of this opening: learn the size from a scan.
+            None => u64::MAX,
+        };
+        *size = Some(if tracked > cap {
+            self.evict_to_cap()
+        } else {
+            tracked
+        });
         Ok(())
     }
 
-    /// Evicts oldest-modified entries until the store fits its size cap.
-    fn evict_to_cap(&self) {
+    /// Evicts oldest-modified entries until the store fits its size cap,
+    /// returning the size left on disk.
+    fn evict_to_cap(&self) -> u64 {
         let cap = self.config.max_bytes;
-        if cap == u64::MAX {
-            return;
-        }
         let Ok(read) = fs::read_dir(&self.config.dir) else {
-            return;
+            return 0;
         };
         let mut entries: Vec<(std::time::SystemTime, u64, PathBuf)> = read
             .flatten()
@@ -348,6 +373,7 @@ impl Store {
                 total = total.saturating_sub(len);
             }
         }
+        total
     }
 
     /// Number of entry files currently in the store directory.
@@ -704,6 +730,42 @@ mod tests {
         assert!(store.entry_count() < 8);
         // The newest entry survives.
         assert!(matches!(store.load(7, 7), LoadOutcome::Hit { .. }));
+        cleanup(&base);
+    }
+
+    #[test]
+    fn two_openings_end_under_the_cap_once_one_count_passes_it() {
+        // Entries of 200 bytes on disk (52 bytes of envelope): five fill
+        // the cap exactly.
+        let base = temp_store("softcap");
+        let config = StoreConfig {
+            max_bytes: 1000,
+            ..base.config().clone()
+        };
+        let payload = [7u8; 148];
+        let a = Store::open(config.clone()).unwrap();
+        let b = Store::open(config).unwrap();
+        a.save(0, 7, 0, &payload).unwrap();
+        for key in 1..5 {
+            b.save(key, 7, 0, &payload).unwrap();
+        }
+        assert_eq!(a.total_bytes(), 1000);
+        // `a` does not see `b`'s writes, so its count stays under the cap
+        // while the directory grows past it: the cap is soft.
+        for key in 5..9 {
+            a.save(key, 7, 0, &payload).unwrap();
+        }
+        assert_eq!(a.total_bytes(), 1800);
+        // The save that takes `a`'s own count over the cap scans the
+        // directory and evicts down to it.
+        a.save(9, 7, 0, &payload).unwrap();
+        assert!(a.total_bytes() <= 1000, "{}", a.total_bytes());
+        // Overwrites replace bytes instead of adding them.
+        for _ in 0..20 {
+            a.save(9, 7, 0, &payload).unwrap();
+        }
+        assert!(a.total_bytes() <= 1000, "{}", a.total_bytes());
+        assert!(matches!(a.load(9, 7), LoadOutcome::Hit { .. }));
         cleanup(&base);
     }
 
