@@ -23,9 +23,7 @@
 //! sound whole-program closure in near-linear time; Andersen sets tighten
 //! it when available.
 
-use std::collections::HashSet;
-
-use bootstrap_ir::{CallTarget, FuncId, Loc, Program, Stmt, VarId, VarKind};
+use bootstrap_ir::{tarjan, CallTarget, FuncId, Loc, Program, Sccs, Stmt, VarId, VarKind};
 
 /// Identifies one abstract thread; `0` is always the main thread.
 pub type ThreadId = u32;
@@ -106,6 +104,25 @@ impl EscapeResult {
             }
         }
         false
+    }
+}
+
+/// How many threads may access a variable, saturating at two.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Access {
+    None,
+    One(ThreadId),
+    Many,
+}
+
+impl Access {
+    /// The state of the union of the two thread sets.
+    fn join(self, other: Access) -> Access {
+        match (self, other) {
+            (Access::None, x) | (x, Access::None) => x,
+            (Access::One(a), Access::One(b)) if a == b => self,
+            _ => Access::Many,
+        }
     }
 }
 
@@ -205,51 +222,33 @@ pub fn analyze(program: &Program, pts: impl Fn(VarId) -> Vec<VarId>) -> EscapeRe
     }
 
     // Per-statement CFG cycle membership for invoking sites: a site inside
-    // a loop may execute its invocation repeatedly.
-    let in_cycle = |loc: Loc| -> bool {
+    // a loop may execute its invocation repeatedly. One SCC pass per
+    // function that contains an invoking site answers all of its sites.
+    let mut cfg_sccs: Vec<Option<Sccs>> = vec![None; n_funcs];
+    let mut in_cycle = |loc: Loc| -> bool {
         let func = program.func(loc.func);
-        let mut seen = HashSet::new();
-        let mut stack: Vec<u32> = func.succs(loc.stmt).to_vec();
-        while let Some(s) = stack.pop() {
-            if s == loc.stmt {
-                return true;
-            }
-            if seen.insert(s) {
-                stack.extend_from_slice(func.succs(s));
-            }
-        }
-        false
+        let succs = |s: u32| func.succs(s);
+        cfg_sccs[loc.func.index()]
+            .get_or_insert_with(|| tarjan(func.body().len(), succs))
+            .on_cycle(loc.stmt, succs(loc.stmt))
     };
 
     // `exec_multi[f]`: f's body may execute more than once per program run.
-    // Seeds: recursion (f reaches itself over invocation edges) and two or
-    // more static invoking sites. Propagation: an invoking site that is in
-    // a CFG cycle, or belongs to a function that itself executes more than
-    // once, makes the target multi.
-    let mut exec_multi = vec![false; n_funcs];
-    for f in 0..n_funcs {
-        if invoking_sites[f].len() >= 2 {
-            exec_multi[f] = true;
-        }
-    }
-    // Recursion over invocation edges (calls and spawns alike).
-    let mut invoke_edges: Vec<Vec<FuncId>> = call_edges.clone();
+    // Seeds: recursion (f lies on a cycle of invocation edges, calls and
+    // spawns alike) and two or more static invoking sites. Propagation: an
+    // invoking site that is in a CFG cycle, or belongs to a function that
+    // itself executes more than once, makes the target multi.
+    let mut invoke_edges: Vec<Vec<u32>> = call_edges
+        .iter()
+        .map(|gs| gs.iter().map(|g| g.index() as u32).collect())
+        .collect();
     for &(loc, g) in &spawns {
-        invoke_edges[loc.func.index()].push(g);
+        invoke_edges[loc.func.index()].push(g.index() as u32);
     }
-    for f in 0..n_funcs {
-        let mut seen = HashSet::new();
-        let mut stack = invoke_edges[f].clone();
-        while let Some(g) = stack.pop() {
-            if g.index() == f {
-                exec_multi[f] = true;
-                break;
-            }
-            if seen.insert(g) {
-                stack.extend_from_slice(&invoke_edges[g.index()]);
-            }
-        }
-    }
+    let invoke_sccs = tarjan(n_funcs, |f| &invoke_edges[f as usize]);
+    let mut exec_multi: Vec<bool> = (0..n_funcs)
+        .map(|f| invoking_sites[f].len() >= 2 || invoke_sccs.on_cycle(f as u32, &invoke_edges[f]))
+        .collect();
     let site_cycles: Vec<Vec<bool>> = invoking_sites
         .iter()
         .map(|sites| sites.iter().map(|&s| in_cycle(s)).collect())
@@ -279,17 +278,18 @@ pub fn analyze(program: &Program, pts: impl Fn(VarId) -> Vec<VarId>) -> EscapeRe
         }
     }
 
-    // Escape set: propagate per-variable thread access sets through the
+    // Escape set: propagate per-variable thread access through the
     // points-to relation. A variable is seeded with the threads of its
     // owning function (globals with every thread — any thread can name
     // them); if thread t can access pointer v, t can access everything v
     // points to. An object escapes when at least two distinct threads
-    // reach it. Sequential programs share nothing.
+    // reach it, so each variable keeps a saturating {none, one thread,
+    // many} state rather than the thread set itself: the state of a union
+    // is the join of the states. Sequential programs share nothing.
     let mut escaped = vec![false; n_vars];
     if threads.len() > 1 {
-        let all_tids: Vec<ThreadId> = (0..threads.len() as ThreadId).collect();
-        let mut access: Vec<Vec<ThreadId>> = vec![Vec::new(); n_vars];
-        let mut work: Vec<(VarId, ThreadId)> = Vec::new();
+        let mut access: Vec<Access> = vec![Access::None; n_vars];
+        let mut work: Vec<(VarId, Access)> = Vec::new();
         for i in 0..n_vars {
             let v = VarId::new(i);
             let kind = program.var(v).kind();
@@ -297,31 +297,32 @@ pub fn analyze(program: &Program, pts: impl Fn(VarId) -> Vec<VarId>) -> EscapeRe
                 continue;
             }
             match kind.owner() {
-                None if matches!(kind, VarKind::Global) => {
-                    work.extend(all_tids.iter().map(|&t| (v, t)));
-                }
+                None if matches!(kind, VarKind::Global) => work.push((v, Access::Many)),
                 Some(f) => {
-                    work.extend(func_threads[f.index()].iter().map(|&t| (v, t)));
+                    for &t in &func_threads[f.index()] {
+                        work.push((v, Access::One(t)));
+                    }
                 }
                 // Heap objects and other unowned abstractions are reached
                 // only through pointers (the closure below).
                 None => {}
             }
         }
-        while let Some((v, t)) = work.pop() {
-            let set = &mut access[v.index()];
-            if set.contains(&t) {
+        while let Some((v, a)) = work.pop() {
+            let slot = &mut access[v.index()];
+            let joined = slot.join(a);
+            if joined == *slot {
                 continue;
             }
-            set.push(t);
+            *slot = joined;
             for o in pts(v) {
                 if o.index() < n_vars && !program.var(o).kind().is_synthetic_object() {
-                    work.push((o, t));
+                    work.push((o, joined));
                 }
             }
         }
         for i in 0..n_vars {
-            escaped[i] = access[i].len() >= 2;
+            escaped[i] = access[i] == Access::Many;
         }
     }
 
@@ -405,6 +406,71 @@ mod tests {
         assert!(worker_thread.multi);
         let worker = p.func_named("worker").unwrap();
         assert!(r.may_run_concurrently(worker, worker));
+    }
+
+    fn spawned_thread(r: &EscapeResult) -> &Thread {
+        let mut spawned = r.threads().iter().filter(|t| t.spawn_site.is_some());
+        let t = spawned.next().expect("one spawned thread");
+        assert!(spawned.next().is_none(), "exactly one spawned thread");
+        t
+    }
+
+    #[test]
+    fn spawn_after_a_loop_is_single_instance() {
+        let (p, r) = run(r#"
+            int g;
+            void worker() { g = 1; }
+            void main() { int i; while (i) { g = 2; } spawn worker(); }
+            "#);
+        assert!(!spawned_thread(&r).multi);
+        let worker = p.func_named("worker").unwrap();
+        assert!(!r.may_run_concurrently(worker, worker));
+    }
+
+    #[test]
+    fn one_statement_self_loop_before_a_spawn_is_not_the_spawn_cycle() {
+        let (p, r) = run(r#"
+            int g;
+            void worker() { g = 1; }
+            void main() { int c; while (c) { } spawn worker(); }
+            "#);
+        // The empty loop lowers to a head that is its own successor.
+        let main = p.func(p.func_named("main").unwrap());
+        let head = (0..main.body().len() as u32)
+            .find(|&s| main.succs(s).contains(&s))
+            .expect("a one-statement self-loop");
+        let sccs = tarjan(main.body().len(), |s| main.succs(s));
+        assert!(sccs.on_cycle(head, main.succs(head)));
+        let site = spawned_thread(&r).spawn_site.unwrap();
+        assert!(!sccs.on_cycle(site.stmt, main.succs(site.stmt)));
+        assert!(!spawned_thread(&r).multi);
+    }
+
+    #[test]
+    fn spawn_in_a_function_called_from_a_loop_is_multi_instance() {
+        let (p, r) = run(r#"
+            int g;
+            void worker() { g = 1; }
+            void spawner() { spawn worker(); }
+            void main() { int i; while (i) { spawner(); } }
+            "#);
+        assert!(spawned_thread(&r).multi);
+        let worker = p.func_named("worker").unwrap();
+        assert!(r.may_run_concurrently(worker, worker));
+    }
+
+    #[test]
+    fn recursion_only_through_a_spawn_edge_is_multi_instance() {
+        // `main` has one invoking site, outside any loop; only the
+        // spawn edge back to itself makes it run more than once.
+        let (p, r) = run(r#"
+            int g;
+            void main() { g = 1; if (g) { spawn main(); } }
+            "#);
+        assert!(spawned_thread(&r).multi);
+        let main = p.func_named("main").unwrap();
+        assert!(r.may_run_concurrently(main, main));
+        assert!(r.escapes(p.var_named("g").unwrap()));
     }
 
     #[test]

@@ -38,8 +38,8 @@ use bootstrap_core::{
     QueryLimits, Session, SolverStats, Source, StoreCounters,
 };
 use bootstrap_ir::{Loc, Program, Stmt, VarId, VarKind};
+use order::Reach;
 
-pub use order::reachable_after;
 pub use report::{interner_occupancy, render_json, render_text};
 
 /// The individual checkers.
@@ -425,44 +425,54 @@ pub fn run_checks_with<'a>(
         }
     }
 
-    // Forward may-execute-after sets, one per interesting free site.
-    let mut follow: HashMap<Loc, HashSet<Loc>> = HashMap::new();
-    for (site, _, _) in &freed {
-        follow
-            .entry(site.loc)
-            .or_insert_with(|| reachable_after(session, site.loc));
-    }
+    // Pair by freed object: for each dereference or free site and each
+    // freed object among its sources, the *first* free site in `freed`
+    // order that frees the object and may execute before the site.
+    if !freed.is_empty() {
+        let reach = Reach::build(session, freed.iter().map(|(site, _, _)| site.loc));
+        let mut frees_of: HashMap<VarId, Vec<usize>> = HashMap::new();
+        for (k, (_, objs, _)) in freed.iter().enumerate() {
+            for &o in objs {
+                let ks = frees_of.entry(o).or_default();
+                if ks.last() != Some(&k) {
+                    ks.push(k);
+                }
+            }
+        }
+        // `skip` excludes a free site from pairing with itself: in the
+        // modeled semantics free nulls its operand, so a loop re-executing
+        // one free(p) re-frees nothing (p is NULL or reassigned).
+        let first_free = |obj: VarId, loc: Loc, skip: Option<usize>| {
+            frees_of
+                .get(&obj)?
+                .iter()
+                .copied()
+                .find(|&k| Some(k) != skip && reach.after(k, loc))
+        };
 
-    if want_uaf {
-        for (fsite, objs, fprec) in &freed {
-            let after = &follow[&fsite.loc];
+        if want_uaf {
             for dsite in &deref_sites {
-                if !after.contains(&dsite.loc) {
-                    continue;
-                }
                 let (sources, dprec) = rs.sources(dsite.ptr, dsite.loc);
-                let precision = (*fprec).max(dprec);
-                let hit: Vec<VarId> = sources
-                    .iter()
-                    .filter_map(|(s, _)| match s {
-                        Source::Addr(o) if objs.contains(o) => Some(*o),
-                        _ => None,
-                    })
-                    .collect();
-                if hit.is_empty() {
-                    continue;
-                }
-                // Unconditional when every resolvable source is a freed
-                // object from this free site.
-                let severity = if hit.len() == sources.len() {
-                    Severity::Error
-                } else {
-                    Severity::Warning
-                };
-                for obj in hit {
+                for (s, _) in sources {
+                    let Source::Addr(obj) = *s else { continue };
+                    let Some(k) = first_free(obj, dsite.loc, None) else {
+                        continue;
+                    };
                     if !seen.insert((CheckerKind::UseAfterFree, dsite.loc, dsite.ptr, Some(obj))) {
                         continue;
                     }
+                    let (fsite, objs, fprec) = &freed[k];
+                    // Unconditional when every resolvable source is a
+                    // freed object from this free site.
+                    let hits = sources
+                        .iter()
+                        .filter(|(s, _)| matches!(s, Source::Addr(o) if objs.contains(o)))
+                        .count();
+                    let severity = if hits == sources.len() {
+                        Severity::Error
+                    } else {
+                        Severity::Warning
+                    };
                     let var = program.var(dsite.ptr).name().to_string();
                     let object = program.var(obj).name().to_string();
                     findings.push(Finding {
@@ -471,48 +481,35 @@ pub fn run_checks_with<'a>(
                         func: program.func(dsite.loc.func).name().to_string(),
                         loc: dsite.loc,
                         line: program.line_of(dsite.loc),
-                        var,
                         message: format!(
-                            "dereference of `{}` may access `{}` freed at {}",
-                            program.var(dsite.ptr).name(),
-                            object,
+                            "dereference of `{var}` may access `{object}` freed at {}",
                             site_label(program, fsite.loc),
                         ),
+                        var,
                         object: Some(object),
-                        precision,
+                        precision: (*fprec).max(dprec),
                     });
                 }
             }
         }
-    }
 
-    if want_df {
-        for (i, (f1, objs1, prec1)) in freed.iter().enumerate() {
-            let after = &follow[&f1.loc];
+        if want_df {
             for (j, (f2, objs2, prec2)) in freed.iter().enumerate() {
-                // A site paired with itself is excluded: in the modeled
-                // semantics free nulls its operand, so a loop re-executing
-                // one free(p) re-frees nothing (p is NULL or reassigned).
-                if i == j || !after.contains(&f2.loc) {
-                    continue;
-                }
-                let common: Vec<VarId> = objs2
-                    .iter()
-                    .copied()
-                    .filter(|o| objs1.contains(o))
-                    .collect();
-                if common.is_empty() {
-                    continue;
-                }
-                let severity = if common.len() == objs2.len() {
-                    Severity::Error
-                } else {
-                    Severity::Warning
-                };
-                for obj in common {
+                for &obj in objs2 {
+                    let Some(i) = first_free(obj, f2.loc, Some(j)) else {
+                        continue;
+                    };
                     if !seen.insert((CheckerKind::DoubleFree, f2.loc, f2.ptr, Some(obj))) {
                         continue;
                     }
+                    let (f1, objs1, prec1) = &freed[i];
+                    let common = objs2.iter().filter(|o| objs1.contains(o)).count();
+                    let severity = if common == objs2.len() {
+                        Severity::Error
+                    } else {
+                        Severity::Warning
+                    };
+                    let var = program.var(f2.ptr).name().to_string();
                     let object = program.var(obj).name().to_string();
                     findings.push(Finding {
                         checker: CheckerKind::DoubleFree,
@@ -520,13 +517,11 @@ pub fn run_checks_with<'a>(
                         func: program.func(f2.loc.func).name().to_string(),
                         loc: f2.loc,
                         line: program.line_of(f2.loc),
-                        var: program.var(f2.ptr).name().to_string(),
                         message: format!(
-                            "`{}` frees `{}` already freed at {}",
-                            program.var(f2.ptr).name(),
-                            object,
+                            "`{var}` frees `{object}` already freed at {}",
                             site_label(program, f1.loc),
                         ),
+                        var,
                         object: Some(object),
                         precision: (*prec1).max(*prec2),
                     });

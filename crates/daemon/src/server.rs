@@ -270,12 +270,7 @@ impl Daemon {
             }
         }
 
-        match fs::remove_file(&self.opts.socket) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let listener = UnixListener::bind(&self.opts.socket)?;
+        let listener = bind_listening(&self.opts.socket)?;
         listener.set_nonblocking(true)?;
 
         let mut prev_snapshot: Option<PartitionSnapshot> = None;
@@ -928,4 +923,26 @@ fn write_response(conn: &mut UnixStream, resp: &Response) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Binds a listener that accepts connections from the moment `path`
+/// exists. `bind(2)` creates the socket file before `listen(2)` runs, so a
+/// client that connects as soon as the file appears could be refused:
+/// bind and listen on a sibling temporary path, then rename it onto
+/// `path` (replacing a stale socket file).
+fn bind_listening(path: &Path) -> io::Result<UnixListener> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.tmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    match fs::remove_file(&tmp) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+    }
+    let listener = UnixListener::bind(&tmp)?;
+    if let Err(e) = fs::rename(&tmp, path) {
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
+    }
+    Ok(listener)
 }

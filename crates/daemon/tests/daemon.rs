@@ -9,7 +9,7 @@ use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bootstrap_client::{decode_response, read_frame, write_frame, Client, Request, Response};
 use bootstrap_core::{FaultKind, FaultPhase, FaultPlan};
@@ -201,6 +201,43 @@ fn smoke_check_query_edit_stats_shutdown() {
     ));
     handle.join().unwrap().unwrap();
     assert!(!socket.exists(), "socket removed on shutdown");
+}
+
+/// The socket path appears only once the daemon listens: over 50 starts,
+/// a client that connects the moment the file exists is never refused.
+#[test]
+fn socket_accepts_connections_as_soon_as_it_appears() {
+    let socket = tmp_socket("ready");
+    for start in 0..50 {
+        let mut opts = ServeOptions::new(&socket);
+        opts.seed_files = files_for(&seed_state());
+        let handle = spawn_daemon(opts);
+        // Spin on connect itself: the first attempt that finds the file
+        // must reach a listening socket.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut stream = loop {
+            match UnixStream::connect(&socket) {
+                Ok(stream) => break stream,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    assert!(Instant::now() < deadline, "start {start}: no socket");
+                    std::hint::spin_loop();
+                }
+                Err(e) => panic!("start {start}: first connect failed: {e}"),
+            }
+        };
+        write_frame(&mut stream, Request::Stats.to_json().to_string().as_bytes()).unwrap();
+        let reply = read_frame(&mut stream).unwrap().expect("a reply");
+        assert!(matches!(decode_response(&reply), Ok(Response::StatsOk(_))));
+        assert!(matches!(
+            Client::new(&socket).request(&Request::Shutdown).unwrap(),
+            Response::ShutdownOk
+        ));
+        handle.join().unwrap().unwrap();
+        assert!(
+            !socket.exists(),
+            "start {start}: socket removed on shutdown"
+        );
+    }
 }
 
 /// Replays every committed malformed-wire corpus file against a live

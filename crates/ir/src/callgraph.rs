@@ -2,7 +2,10 @@
 //!
 //! The summarization engine (paper §3, Algorithm 5) processes the strongly
 //! connected components of the call graph in reverse topological order; each
-//! SCC is analyzed to a fixpoint to handle recursion.
+//! SCC is analyzed to a fixpoint to handle recursion. The same [`tarjan`]
+//! pass, over plain `u32` successor lists, serves every other SCC client:
+//! the checkers' interprocedural may-execute-after order and the escape
+//! analysis's per-function loop membership.
 
 use std::collections::HashSet;
 
@@ -56,7 +59,23 @@ impl CallGraph {
                 }
             }
         }
-        let (sccs, scc_of) = tarjan(n, &callees);
+        let succs: Vec<Vec<u32>> = callees
+            .iter()
+            .map(|cs| cs.iter().map(|g| g.index() as u32).collect())
+            .collect();
+        let components = tarjan(n, |f| &succs[f as usize]);
+        let sccs: Vec<Vec<FuncId>> = (0..components.len())
+            .map(|c| {
+                let mut comp: Vec<FuncId> = components
+                    .component(c)
+                    .iter()
+                    .map(|&f| FuncId::new(f as usize))
+                    .collect();
+                comp.sort();
+                comp
+            })
+            .collect();
+        let scc_of = (0..n).map(|f| components.comp_of(f as u32)).collect();
         Self {
             callees,
             callers,
@@ -114,67 +133,131 @@ impl CallGraph {
     }
 }
 
-/// Iterative Tarjan SCC. Returns SCCs in reverse topological order and the
-/// SCC index of each node.
-fn tarjan(n: usize, succs: &[Vec<FuncId>]) -> (Vec<Vec<FuncId>>, Vec<usize>) {
-    const UNVISITED: usize = usize::MAX;
+/// Strongly connected components of a directed graph on nodes `0..n`, as
+/// computed by [`tarjan`].
+///
+/// Components are numbered in *reverse topological order* of the
+/// condensation: every edge leaving component `c` enters a component with a
+/// smaller number, so sinks come first.
+#[derive(Clone, Debug)]
+pub struct Sccs {
+    /// Nodes grouped by component, components in numbering order.
+    nodes: Vec<u32>,
+    /// Component `c` is `nodes[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    /// Component number of each node.
+    comp_of: Vec<u32>,
+}
+
+impl Sccs {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Returns `true` for the empty graph.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The nodes of component `c`.
+    pub fn component(&self, c: usize) -> &[u32] {
+        &self.nodes[self.starts[c] as usize..self.starts[c + 1] as usize]
+    }
+
+    /// The component containing node `v`.
+    pub fn comp_of(&self, v: u32) -> usize {
+        self.comp_of[v as usize] as usize
+    }
+
+    /// Returns `true` when node `v` lies on a cycle: its component has
+    /// more than one node, or `v_succs` (the successors of `v`) contain
+    /// `v` itself.
+    pub fn on_cycle(&self, v: u32, v_succs: &[u32]) -> bool {
+        self.component(self.comp_of(v)).len() > 1 || v_succs.contains(&v)
+    }
+}
+
+/// Iterative Tarjan SCC over the graph on nodes `0..n` whose successor
+/// lists `succs` returns. One linear pass; no recursion, so deep graphs
+/// (long CFGs, call chains) cannot overflow the stack.
+///
+/// # Examples
+///
+/// ```
+/// let succs: Vec<Vec<u32>> = vec![vec![1], vec![0, 2], vec![]];
+/// let sccs = bootstrap_ir::callgraph::tarjan(3, |v| &succs[v as usize]);
+/// assert_eq!(sccs.len(), 2);
+/// assert_eq!(sccs.comp_of(0), sccs.comp_of(1));
+/// assert!(sccs.comp_of(2) < sccs.comp_of(0)); // sinks first
+/// assert!(sccs.on_cycle(0, &succs[0]) && !sccs.on_cycle(2, &succs[2]));
+/// ```
+pub fn tarjan<'a>(n: usize, succs: impl Fn(u32) -> &'a [u32]) -> Sccs {
+    const UNVISITED: u32 = u32::MAX;
     let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0usize; n];
+    let mut lowlink = vec![0u32; n];
     let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<FuncId>> = Vec::new();
-    let mut scc_of = vec![0usize; n];
-    let mut counter = 0usize;
+    let mut stack: Vec<u32> = Vec::new();
+    let mut nodes: Vec<u32> = Vec::with_capacity(n);
+    let mut starts: Vec<u32> = vec![0];
+    let mut comp_of = vec![0u32; n];
+    let mut counter = 0u32;
 
     // Explicit DFS stack: (node, next child index).
-    let mut call_stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != UNVISITED {
+    let mut call_stack: Vec<(u32, usize)> = Vec::new();
+    for root in 0..n as u32 {
+        if index[root as usize] != UNVISITED {
             continue;
         }
         call_stack.push((root, 0));
-        index[root] = counter;
-        lowlink[root] = counter;
+        index[root as usize] = counter;
+        lowlink[root as usize] = counter;
         counter += 1;
         stack.push(root);
-        on_stack[root] = true;
+        on_stack[root as usize] = true;
         while let Some(&mut (v, ref mut ci)) = call_stack.last_mut() {
-            if *ci < succs[v].len() {
-                let w = succs[v][*ci].index();
+            let vs = succs(v);
+            if *ci < vs.len() {
+                let w = vs[*ci];
                 *ci += 1;
-                if index[w] == UNVISITED {
-                    index[w] = counter;
-                    lowlink[w] = counter;
+                let wi = w as usize;
+                if index[wi] == UNVISITED {
+                    index[wi] = counter;
+                    lowlink[wi] = counter;
                     counter += 1;
                     stack.push(w);
-                    on_stack[w] = true;
+                    on_stack[wi] = true;
                     call_stack.push((w, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
+                } else if on_stack[wi] {
+                    lowlink[v as usize] = lowlink[v as usize].min(index[wi]);
                 }
             } else {
                 call_stack.pop();
+                let vi = v as usize;
                 if let Some(&mut (parent, _)) = call_stack.last_mut() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[vi]);
                 }
-                if lowlink[v] == index[v] {
-                    let mut comp = Vec::new();
+                if lowlink[vi] == index[vi] {
+                    let comp = (starts.len() - 1) as u32;
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc_of[w] = sccs.len();
-                        comp.push(FuncId::new(w));
+                        on_stack[w as usize] = false;
+                        comp_of[w as usize] = comp;
+                        nodes.push(w);
                         if w == v {
                             break;
                         }
                     }
-                    comp.sort();
-                    sccs.push(comp);
+                    starts.push(nodes.len() as u32);
                 }
             }
         }
     }
-    (sccs, scc_of)
+    Sccs {
+        nodes,
+        starts,
+        comp_of,
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +302,28 @@ mod tests {
         let r = p.func_named("r").unwrap();
         assert!(cg.is_recursive(r));
         assert_eq!(cg.sccs()[cg.scc_of(r)], vec![r]);
+    }
+
+    #[test]
+    fn tarjan_numbers_components_sinks_first_and_flags_cycles() {
+        // 0 -> 1 -> 2 -> 1, 2 -> 3, 3 -> 3, 4 isolated.
+        let succs: Vec<Vec<u32>> = vec![vec![1], vec![2], vec![1, 3], vec![3], vec![]];
+        let sccs = tarjan(succs.len(), |v| &succs[v as usize]);
+        assert_eq!(sccs.len(), 4);
+        assert_eq!(sccs.comp_of(1), sccs.comp_of(2));
+        let mut pair = sccs.component(sccs.comp_of(1)).to_vec();
+        pair.sort();
+        assert_eq!(pair, vec![1, 2]);
+        for (v, vs) in succs.iter().enumerate() {
+            for &w in vs {
+                assert!(sccs.comp_of(w) <= sccs.comp_of(v as u32));
+            }
+        }
+        let cyclic: Vec<bool> = (0..5u32)
+            .map(|v| sccs.on_cycle(v, &succs[v as usize]))
+            .collect();
+        assert_eq!(cyclic, vec![false, true, true, true, false]);
+        assert!(tarjan(0, |v| &succs[v as usize]).is_empty());
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   introducing temporaries for nested dereferences and building
 //!   statement-level control-flow graphs;
 //! * the IR itself ([`prog`]) with its variable table and per-function CFGs;
-//! * call-graph construction with Tarjan SCCs ([`callgraph`]);
+//! * call-graph construction and the one Tarjan SCC pass ([`callgraph`])
+//!   that also serves per-function CFG and interprocedural CFG clients;
 //! * a programmatic [`builder`] used by the synthetic workload generator;
 //! * Graphviz export ([`dot`]) and pretty printing ([`display`]).
 //!
@@ -61,7 +62,7 @@ pub mod parse;
 pub mod prog;
 
 pub use builder::{FuncBodyBuilder, ProgramBuilder};
-pub use callgraph::CallGraph;
+pub use callgraph::{tarjan, CallGraph, Sccs};
 pub use ids::{CallSiteId, FuncId, Loc, StmtIdx, VarId};
 pub use prog::{AbsLoc, CallTarget, Function, PathSeg, Program, Stmt, VarInfo, VarKind};
 

@@ -64,6 +64,26 @@ impl Default for BuggyConfig {
     }
 }
 
+impl BuggyConfig {
+    /// Every pattern count multiplied by `m` (`BuggyConfig::default()
+    /// .scaled(40)` is the 4.7k-statement corpus the benchmark checks).
+    pub fn scaled(&self, m: usize) -> Self {
+        Self {
+            null_derefs: self.null_derefs * m,
+            branch_null_derefs: self.branch_null_derefs * m,
+            uafs: self.uafs * m,
+            interproc_uafs: self.interproc_uafs * m,
+            double_frees: self.double_frees * m,
+            interproc_double_frees: self.interproc_double_frees * m,
+            decoys: self.decoys * m,
+            benign: self.benign * m,
+            races: self.races * m,
+            locked_decoys: self.locked_decoys * m,
+            aliased_lock_decoys: self.aliased_lock_decoys * m,
+        }
+    }
+}
+
 /// A labeled defect the checkers are expected to report.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ExpectedDefect {

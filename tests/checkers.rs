@@ -17,11 +17,11 @@ use bootstrap_checks::{run_checks, CheckerKind};
 use bootstrap_core::{Config, Session};
 use bootstrap_workloads::buggy::{self, BuggyConfig};
 
-/// The buggy corpus: the checkers must report exactly the labeled
-/// defects, as (checker, variable, severity) triples.
-#[test]
-fn buggy_corpus_findings_match_labels_exactly() {
-    let generated = buggy::generate(&BuggyConfig::default());
+/// The checkers must report exactly the labeled defects of the buggy
+/// corpus generated from `config`, as (checker, variable, severity)
+/// triples.
+fn assert_findings_match_labels(config: &BuggyConfig) {
+    let generated = buggy::generate(config);
     let session = Session::new(&generated.program, Config::default());
     let report = run_checks(&session, &CheckerKind::ALL);
     assert_eq!(
@@ -53,6 +53,20 @@ fn buggy_corpus_findings_match_labels_exactly() {
         missed.is_empty() && extra.is_empty(),
         "false negatives: {missed:?}\nfalse positives: {extra:?}"
     );
+}
+
+/// The buggy corpus: the checkers must report exactly the labeled
+/// defects.
+#[test]
+fn buggy_corpus_findings_match_labels_exactly() {
+    assert_findings_match_labels(&BuggyConfig::default());
+}
+
+/// The same at the benchmark's scale (`BuggyConfig::default()` x 40:
+/// 4.7k statements, 440 labels), the `buggy-checkers` input.
+#[test]
+fn buggy_corpus_at_benchmark_scale_matches_labels_exactly() {
+    assert_findings_match_labels(&BuggyConfig::default().scaled(40));
 }
 
 /// The struct-field function-pointer preset: the labeled null-deref is
