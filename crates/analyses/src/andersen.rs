@@ -154,101 +154,43 @@ impl AndersenResult {
     }
 }
 
-/// Solver tuning knobs.
+/// Which solver runs.
 ///
-/// The default configuration is the fast path: hybrid online cycle
-/// elimination plus wave-ordered propagation, engaged *adaptively* — the
-/// solver first runs a plain difference-propagation drain and only
-/// switches the cycle machinery on when a propagation-volume thrash
-/// detector says sets are circulating through unresolved copy cycles
-/// (sparse graphs that converge in about one pass never pay for it). The
-/// two older
-/// strategies are retained as property-tested oracles: `collapse_cycles`
-/// (the periodic offline sweep this PR's hybrid scheme replaced) and
-/// `naive` (the pre-difference-propagation solver). `naive` overrides
-/// every other flag so the oracle's cost profile and behavior stay
-/// frozen.
-#[derive(Clone, Copy, Debug)]
-pub struct SolverOptions {
-    /// Periodically detect strongly connected components of the copy-edge
-    /// graph and collapse them (pointers on a copy cycle provably share
-    /// their final points-to set). This is the classic optimization behind
-    /// scalable inclusion solvers (cf. Hardekopf & Lin, PLDI 2007 — cited
-    /// by the paper as a drop-in replacement stage). Superseded by
-    /// `hybrid_cycles` as the default; kept as a verification oracle.
-    /// Ignored when `wave` is set (wave rounds already condense the graph).
-    pub collapse_cycles: bool,
-    /// Use the pre-difference-propagation solver: full points-to sets
-    /// re-propagated on every worklist pop, duplicate worklist pushes, and
-    /// O(degree) duplicate-edge scans — the solver as it was before this
-    /// optimization pass. Kept as a slow, obviously correct oracle for
-    /// property tests and as the benchmark baseline. Overrides
-    /// `hybrid_cycles` and `wave`.
-    pub naive: bool,
-    /// Hybrid online cycle elimination (HCD + LCD):
+/// All three modes compute the same points-to sets; they differ only in
+/// how much cycle machinery runs and when. The property tests compare the
+/// fast modes against [`SolverMode::Naive`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SolverMode {
+    /// The production solver. It first runs a plain difference-propagation
+    /// drain. Only when a propagation-volume thrash detector says sets are
+    /// circulating through unresolved copy cycles does it switch to hybrid
+    /// cycle detection plus wave propagation (see [`SolverMode::Eager`]).
+    /// Sparse graphs that converge in about one pass never pay for the
+    /// cycle machinery.
+    #[default]
+    Adaptive,
+    /// Hybrid cycle detection plus wave propagation from the first pop.
     ///
-    /// * an **offline** pre-solve pass collapses the static copy-edge SCCs
-    ///   and records provable "merge `o` with `v` when `o` enters
-    ///   `pts(p)`" pairs — one per pointer `p` that is both loaded and
-    ///   stored through with the load destination and store source already
-    ///   in the same class `v` (then `o → d` and `s → o` with `d ≡ s ≡ v`
-    ///   pin `pts(o) = pts(v)` at the fixpoint, so the merge provably
-    ///   loses nothing);
-    /// * a **lazy** online trigger: when propagation along a copy edge
-    ///   `x → y` finds no growth and `pts(x) = pts(y)` (cycle members end
-    ///   up with equal sets; mere inclusion is the normal converged state
-    ///   of any chain), a cycle through the edge is suspected and a
-    ///   scoped SCC pass from `y` collapses any cycle it finds (checked
-    ///   at most once per edge).
-    pub hybrid_cycles: bool,
-    /// Engage the cycle machinery (`hybrid_cycles` / `wave`) from the
-    /// first pop instead of adaptively. By default the solver runs a
-    /// plain difference-propagation drain and brings the machinery in
-    /// only when the re-pop thrash detector fires; workloads small
-    /// enough to converge before the detector triggers then never merge
-    /// anything. Tests that must exercise the merge paths set this.
-    pub eager_cycles: bool,
-    /// Wave propagation: instead of popping a LIFO worklist, each round
-    /// condenses the copy graph (Tarjan) and pushes every pending delta
-    /// through the graph in topological order, so a wave of new objects
-    /// crosses each edge once per round instead of the worklist thrashing
-    /// hub nodes.
-    pub wave: bool,
-}
-
-impl Default for SolverOptions {
-    fn default() -> Self {
-        Self {
-            collapse_cycles: false,
-            naive: false,
-            hybrid_cycles: true,
-            eager_cycles: false,
-            wave: true,
-        }
-    }
-}
-
-impl SolverOptions {
-    /// The pre-optimization difference-propagation solver (no cycle
-    /// elimination, plain LIFO worklist) — the baseline this PR's hybrid +
-    /// wave pipeline is benchmarked and property-tested against.
-    pub fn baseline() -> Self {
-        Self {
-            collapse_cycles: false,
-            naive: false,
-            hybrid_cycles: false,
-            eager_cycles: false,
-            wave: false,
-        }
-    }
-
-    /// The slow, obviously correct oracle (full-set re-propagation).
-    pub fn naive_oracle() -> Self {
-        Self {
-            naive: true,
-            ..Self::baseline()
-        }
-    }
+    /// * An **offline** pre-solve pass (HCD) collapses the static
+    ///   copy-edge SCCs and records provable "merge `o` with `v` when `o`
+    ///   enters `pts(p)`" pairs, one per pointer `p` that is both loaded
+    ///   and stored through with the load destination and store source
+    ///   already in the same class `v`. Then `o → d` and `s → o` with
+    ///   `d ≡ s ≡ v` pin `pts(o) = pts(v)` at the fixpoint, so the merge
+    ///   provably loses nothing.
+    /// * **Wave** propagation: each round condenses the copy graph
+    ///   (Tarjan) and pushes every pending delta through it in
+    ///   topological order, so a wave of new objects crosses each edge
+    ///   once per round instead of the worklist thrashing hub nodes.
+    ///
+    /// Tests use this mode to run the merge paths on inputs too small to
+    /// trip the adaptive thrash detector.
+    Eager,
+    /// The pre-difference-propagation solver: full points-to sets
+    /// re-propagated on every worklist pop, duplicate worklist pushes, and
+    /// O(degree) duplicate-edge scans. Kept as the slow, obviously correct
+    /// oracle for property tests and as the benchmark baseline.
+    Naive,
 }
 
 /// Work counters from one solver run (used by worklist-boundedness tests,
@@ -263,13 +205,13 @@ pub struct SolverStats {
     pub stale_pops: usize,
     /// Copy edges in the final constraint graph (including derived ones).
     pub edges: usize,
-    /// Cycle components collapsed while solving (HCD pair merges, LCD
-    /// detections, wave-round condensations, and periodic sweeps).
+    /// Cycle components collapsed while solving (HCD pair merges and
+    /// wave-round condensations).
     pub sccs_online: usize,
     /// Cycle components collapsed by the offline pre-solve pass over the
     /// static copy graph.
     pub sccs_offline: usize,
-    /// Wave-propagation rounds run (0 unless `SolverOptions::wave`).
+    /// Wave-propagation rounds run (0 unless the cycle machinery engaged).
     pub wave_rounds: usize,
     /// Copy edges dropped because cycle collapsing turned them into
     /// self-loops or duplicates.
@@ -323,46 +265,28 @@ impl SolverStats {
 
 /// Runs Andersen's analysis over every statement of `program`.
 pub fn analyze(program: &Program) -> AndersenResult {
-    analyze_with(program, SolverOptions::default())
+    analyze_with(program, SolverMode::default())
 }
 
-/// Runs Andersen's analysis with explicit solver options.
-pub fn analyze_with(program: &Program, options: SolverOptions) -> AndersenResult {
-    analyze_stmts_with(
-        program.var_count(),
-        program.all_locs().map(|(_, s)| s),
-        options,
-    )
+/// Runs Andersen's analysis with an explicit solver mode.
+pub fn analyze_with(program: &Program, mode: SolverMode) -> AndersenResult {
+    let stmts = program.all_locs().map(|(_, s)| s);
+    analyze_stmts_with_stats(program.var_count(), stmts, mode).0
 }
 
-/// Runs Andersen's analysis over an arbitrary statement slice — used by the
-/// bootstrapping cascade to re-analyze a single Steensgaard partition's
-/// relevant statements (`St_P`) in isolation.
-pub fn analyze_stmts<'a, I>(n_vars: usize, stmts: I) -> AndersenResult
-where
-    I: IntoIterator<Item = &'a Stmt>,
-{
-    analyze_stmts_with(n_vars, stmts, SolverOptions::default())
-}
-
-/// Like [`analyze_stmts`], with explicit solver options.
-pub fn analyze_stmts_with<'a, I>(n_vars: usize, stmts: I, options: SolverOptions) -> AndersenResult
-where
-    I: IntoIterator<Item = &'a Stmt>,
-{
-    analyze_stmts_with_stats(n_vars, stmts, options).0
-}
-
-/// Like [`analyze_stmts_with`], also returning solver work counters.
+/// Runs Andersen's analysis over an arbitrary statement slice, also
+/// returning solver work counters. The bootstrapping cascade uses it to
+/// re-analyze a single Steensgaard partition's relevant statements
+/// (`St_P`) in isolation.
 pub fn analyze_stmts_with_stats<'a, I>(
     n_vars: usize,
     stmts: I,
-    options: SolverOptions,
+    mode: SolverMode,
 ) -> (AndersenResult, SolverStats)
 where
     I: IntoIterator<Item = &'a Stmt>,
 {
-    let (result, stats, _) = analyze_stmts_profiled(n_vars, stmts, options);
+    let (result, stats, _) = analyze_stmts_profiled(n_vars, stmts, mode);
     (result, stats)
 }
 
@@ -386,7 +310,7 @@ pub struct SolverPhases {
 pub fn analyze_stmts_profiled<'a, I>(
     n_vars: usize,
     stmts: I,
-    options: SolverOptions,
+    mode: SolverMode,
 ) -> (AndersenResult, SolverStats, SolverPhases)
 where
     I: IntoIterator<Item = &'a Stmt>,
@@ -434,7 +358,7 @@ where
             _ => {}
         }
     }
-    let mut solver = Solver::new(n_vars, options);
+    let mut solver = Solver::new(n_vars, mode);
     solver.reserve(&edge_deg, &load_deg, &store_deg);
     for &(kind, a, b) in &tuples {
         match kind {
@@ -503,10 +427,10 @@ struct Solver {
     /// with a non-empty set is enqueued, so the first drain propagates it
     /// anyway — the eager union would do the same work twice.
     solving: bool,
-    options: SolverOptions,
+    mode: SolverMode,
     /// Node -> representative (union-find, path-halved in `rep`).
     parent: Vec<u32>,
-    /// Worklist pops since the start (collapse cadence + stats).
+    /// Worklist pops since the start (stats).
     pops: usize,
     /// Pops that found an already-drained delta (stats).
     stale_pops: usize,
@@ -518,15 +442,12 @@ struct Solver {
     /// Empty (not per-node allocated) until `hcd_offline` runs — the
     /// adaptive path frequently never engages it.
     hcd: Vec<Vec<u32>>,
-    /// Copy edges already LCD-checked, keyed `(src << 32) | dst`, so each
-    /// edge triggers at most one scoped cycle search.
-    lcd_seen: std::collections::HashSet<u64>,
     sccs_online: usize,
     sccs_offline: usize,
     wave_rounds: usize,
     edges_pruned: usize,
-    /// Tarjan scratch, generation-stamped so scoped LCD searches do not
-    /// pay an O(n) reset per trigger. A slot is valid iff
+    /// Tarjan scratch, generation-stamped so scoped wave-round searches
+    /// do not pay an O(n) reset each. A slot is valid iff
     /// `scc_mark[v] == scc_gen`. Allocated on first use — a solve that
     /// never runs an SCC pass never pays the O(n) memset.
     scc_mark: Vec<u32>,
@@ -539,7 +460,7 @@ struct Solver {
 }
 
 impl Solver {
-    fn new(n: usize, options: SolverOptions) -> Self {
+    fn new(n: usize, mode: SolverMode) -> Self {
         Self {
             pts: vec![VarSet::new(); n],
             delta: vec![VarSet::new(); n],
@@ -549,13 +470,12 @@ impl Solver {
             worklist: Vec::new(),
             in_worklist: vec![false; n],
             solving: false,
-            options,
+            mode,
             parent: (0..n as u32).collect(),
             pops: 0,
             stale_pops: 0,
             dup_constraints: 0,
             hcd: Vec::new(),
-            lcd_seen: std::collections::HashSet::new(),
             sccs_online: 0,
             sccs_offline: 0,
             wave_rounds: 0,
@@ -617,8 +537,12 @@ impl Solver {
         }
     }
 
+    fn naive(&self) -> bool {
+        self.mode == SolverMode::Naive
+    }
+
     fn enqueue(&mut self, n: u32) {
-        if self.options.naive {
+        if self.naive() {
             // The pre-optimization solver pushed unconditionally; duplicate
             // pops re-ran full-set propagation. Preserved so the oracle's
             // cost profile matches what the benchmark compares against.
@@ -638,7 +562,7 @@ impl Solver {
     fn add_points_to(&mut self, x: u32, obj: u32) {
         let x = self.rep(x);
         if self.pts[x as usize].insert(obj) {
-            if !self.options.naive {
+            if !self.naive() {
                 self.delta[x as usize].insert(obj);
             }
             self.enqueue(x);
@@ -651,7 +575,7 @@ impl Solver {
         if src == dst {
             return;
         }
-        if self.options.naive {
+        if self.naive() {
             // Seed behavior: O(degree) duplicate scan, unsorted edge list.
             if self.edges[src as usize].contains(&dst) {
                 return;
@@ -682,33 +606,20 @@ impl Solver {
 
     fn solve(&mut self) {
         self.solving = true;
-        if self.options.naive {
-            self.solve_naive();
-            return;
-        }
-        if !self.options.hybrid_cycles && !self.options.wave {
-            // Plain difference propagation, with the periodic-sweep oracle
-            // (`collapse_cycles`) keeping its frozen cadence inside.
-            self.solve_delta();
-            return;
-        }
-        // Adaptive engagement: cycle machinery (offline HCD, wave rounds,
-        // LCD triggers) pays for itself only on cycle-dense graphs where
-        // the plain worklist thrashes. Run the cheap drain first; if it
-        // reaches the fixpoint without the propagated volume exceeding
-        // the thrash budget — the common case for sparse whole-program
-        // graphs that converge in about one pass — the machinery never
-        // runs at all.
-        if !self.options.eager_cycles && self.drain_until_thrash() {
-            return;
-        }
-        if self.options.hybrid_cycles {
-            self.hcd_offline();
-        }
-        if self.options.wave {
-            self.solve_wave();
-        } else {
-            self.solve_delta();
+        // Adaptive engagement: cycle machinery (offline HCD, wave rounds)
+        // pays for itself only on cycle-dense graphs where the plain
+        // worklist thrashes. Run the cheap drain first; if it reaches the
+        // fixpoint without the propagated volume exceeding the thrash
+        // budget — the common case for sparse whole-program graphs that
+        // converge in about one pass — the machinery never runs at all.
+        let mode = self.mode;
+        match mode {
+            SolverMode::Naive => self.solve_naive(),
+            SolverMode::Adaptive if self.drain_until_thrash() => {}
+            SolverMode::Adaptive | SolverMode::Eager => {
+                self.hcd_offline();
+                self.solve_wave();
+            }
         }
     }
 
@@ -742,7 +653,7 @@ impl Solver {
                 return false;
             }
             self.pops += 1;
-            self.process_delta(node, false);
+            self.process_delta(node);
         }
         true
     }
@@ -782,31 +693,6 @@ impl Solver {
         }
     }
 
-    /// Difference propagation (worklist mode): each pop takes the node's
-    /// pending delta and pushes only those elements through loads, stores
-    /// and copy edges. Work per pop is proportional to what actually
-    /// changed, not to the node's accumulated points-to set.
-    fn solve_delta(&mut self) {
-        let n_nodes = self.pts.len().max(1);
-        while let Some(raw) = self.pop_node() {
-            let mut n = self.rep(raw) as usize;
-            if self.delta[n].is_empty() {
-                self.stale_pops += 1; // stale entry for a merged or drained class
-                continue;
-            }
-            self.pops += 1;
-            if self.options.collapse_cycles && self.pops.is_multiple_of(4 * n_nodes) {
-                let merged = self.tarjan_collapse(0..n_nodes as u32, None);
-                self.sccs_online += merged;
-                n = self.rep(n as u32) as usize;
-                if self.delta[n].is_empty() {
-                    continue;
-                }
-            }
-            self.process_delta(n, self.options.hybrid_cycles);
-        }
-    }
-
     /// Wave propagation: condense the copy graph, then push every pending
     /// delta through it in topological order, so each edge carries a full
     /// wave of new objects once per round. Deltas created on predecessors
@@ -843,7 +729,7 @@ impl Solver {
                     continue;
                 }
                 self.pops += 1;
-                self.process_delta(node, false);
+                self.process_delta(node);
             }
             self.wave_rounds += 1;
         }
@@ -851,14 +737,14 @@ impl Solver {
 
     /// One node's worth of solving: apply HCD merges for newly arrived
     /// objects, derive copy edges from loads/stores, then propagate the
-    /// delta along copy edges (with the LCD cycle trigger when `lcd`).
-    /// `n` must be a representative with a non-empty delta.
-    fn process_delta(&mut self, n: usize, lcd: bool) {
+    /// delta along copy edges. `n` must be a representative with a
+    /// non-empty delta.
+    fn process_delta(&mut self, n: usize) {
         let d = std::mem::take(&mut self.delta[n]);
         // HCD: each object newly in pts(n) provably shares its fixpoint
         // set with the recorded classes — merge now, before any edges are
         // derived through it.
-        if self.options.hybrid_cycles && !self.hcd.is_empty() && !self.hcd[n].is_empty() {
+        if !self.hcd.is_empty() && !self.hcd[n].is_empty() {
             let pairs = std::mem::take(&mut self.hcd[n]);
             for o in d.iter() {
                 for &v in &pairs {
@@ -900,90 +786,26 @@ impl Solver {
             self.loads[n] = loads;
             self.stores[n] = stores;
         }
-        // Propagate the delta (not the full set) along copy edges.
-        if !lcd {
-            // Without the LCD trigger nothing can merge mid-loop (HCD
-            // merges all happened above, and propagation itself never
-            // unions classes), so the adjacency list is iterated in place:
-            // no move-out, no replacement allocation, no absorbed-root
-            // bookkeeping. Entries that earlier collapses turned into
-            // self-loops are dropped as they are encountered.
-            let mut i = 0;
-            while i < self.edges[n].len() {
-                let raw = self.edges[n][i];
-                let t = self.rep(raw);
-                if t as usize == n {
-                    self.edges[n].remove(i);
-                    self.edges_pruned += 1;
-                    continue;
-                }
-                let changed =
-                    self.pts[t as usize].union_into_delta(&d, &mut self.delta[t as usize]);
-                if changed {
-                    self.enqueue(t);
-                }
-                i += 1;
-            }
-            return;
-        }
-        // LCD path: the move-and-restore trick below exists because the
-        // adjacency list of n (which the derive loop above may have just
-        // extended) would otherwise be cloned on every pop — on dense
-        // whole-program graphs that clone dominated the solve and put the
-        // delta path behind the naive one. Brand-new edges from `add_copy`
-        // already carried the full source set. An LCD trigger can merge
-        // nodes mid-loop — including n itself — so the loop re-checks n's
-        // representative and hands the remaining adjacency list to the new
-        // root if n is absorbed.
-        let targets = std::mem::take(&mut self.edges[n]);
-        let mut kept: Vec<u32> = Vec::with_capacity(targets.len());
-        let mut absorbed = false;
-        for (idx, &raw) in targets.iter().enumerate() {
-            if self.rep(n as u32) as usize != n {
-                // Merged away mid-loop: d is subsumed by the root's
-                // full-set delta; just preserve the unprocessed edges.
-                kept.extend_from_slice(&targets[idx..]);
-                absorbed = true;
-                break;
-            }
+        // Propagate the delta (not the full set) along copy edges. Nothing
+        // can merge mid-loop (HCD merges all happened above, and
+        // propagation itself never unions classes), so the adjacency list
+        // is iterated in place: no move-out, no replacement allocation.
+        // Entries that earlier collapses turned into self-loops are
+        // dropped as they are encountered.
+        let mut i = 0;
+        while i < self.edges[n].len() {
+            let raw = self.edges[n][i];
             let t = self.rep(raw);
             if t as usize == n {
-                self.edges_pruned += 1; // collapsed into a self-loop
+                self.edges[n].remove(i);
+                self.edges_pruned += 1;
                 continue;
             }
-            kept.push(raw);
             let changed = self.pts[t as usize].union_into_delta(&d, &mut self.delta[t as usize]);
             if changed {
                 self.enqueue(t);
-            } else {
-                // No growth along n → t and pts(n) = pts(t): members of a
-                // copy cycle end up with equal sets, so equality (cheap
-                // length check first, subset scan only then) is the cycle
-                // suspicion — search from t once per edge. Requiring
-                // equality rather than mere subset keeps plain chains,
-                // where pts(n) ⊊ pts(t) is the normal converged state,
-                // from paying a scoped search per edge.
-                let key = ((n as u64) << 32) | t as u64;
-                if self.pts[n].len() == self.pts[t as usize].len()
-                    && !self.lcd_seen.contains(&key)
-                    && self.pts[n].is_subset_of(&self.pts[t as usize])
-                {
-                    self.lcd_seen.insert(key);
-                    let found = self.tarjan_collapse(std::iter::once(t), None);
-                    self.sccs_online += found;
-                }
             }
-        }
-        if absorbed {
-            let root = self.rep(n as u32) as usize;
-            for e in kept {
-                match self.edges[root].binary_search(&e) {
-                    Ok(_) => self.edges_pruned += 1,
-                    Err(pos) => self.edges[root].insert(pos, e),
-                }
-            }
-        } else {
-            self.edges[n] = kept;
+            i += 1;
         }
     }
 
@@ -1003,14 +825,9 @@ impl Solver {
     /// from the node's full points-to set and re-unions the full set into
     /// every successor. Quadratic-ish re-propagation; kept as the oracle.
     fn solve_naive(&mut self) {
-        let n_nodes = self.pts.len().max(1);
         while let Some(raw) = self.pop_node() {
             let n = self.rep(raw) as usize;
             self.pops += 1;
-            if self.options.collapse_cycles && self.pops.is_multiple_of(4 * n_nodes) {
-                let merged = self.tarjan_collapse(0..n_nodes as u32, None);
-                self.sccs_online += merged;
-            }
             // Derive new copy edges from loads/stores through n.
             if !self.loads[n].is_empty() || !self.stores[n].is_empty() {
                 let objects: Vec<u32> = self.pts[n].iter().collect();
@@ -1162,7 +979,7 @@ impl Solver {
             let _ = std::mem::take(&mut self.delta[other as usize]);
             let edges = std::mem::take(&mut self.edges[other as usize]);
             for e in edges {
-                if self.options.naive {
+                if self.naive() {
                     // Naive edge lists are unsorted (seed behavior).
                     if !self.edges[root as usize].contains(&e) {
                         self.edges[root as usize].push(e);
@@ -1187,7 +1004,7 @@ impl Solver {
                 }
             }
         }
-        if !self.options.naive {
+        if !self.naive() {
             // The merged class gained members, edges, loads and stores; the
             // cheapest sound refresh is to treat its whole set as newly
             // arrived and let one pop re-run everything through it.
@@ -1333,7 +1150,7 @@ mod tests {
             .iter()
             .filter(|s| matches!(s, Stmt::AddrOf { dst, .. } if *dst == p.var_named("x").unwrap()))
             .collect();
-        let r = analyze_stmts(p.var_count(), stmts);
+        let (r, _) = analyze_stmts_with_stats(p.var_count(), stmts, SolverMode::default());
         assert_eq!(r.points_to(p.var_named("x").unwrap()).len(), 1);
         assert!(r.points_to(p.var_named("y").unwrap()).is_empty());
     }
@@ -1396,8 +1213,7 @@ mod worklist_tests {
             dst: v(3),
             src: v(2),
         });
-        let (result, stats) =
-            analyze_stmts_with_stats(n_vars, stmts.iter(), SolverOptions::default());
+        let (result, stats) = analyze_stmts_with_stats(n_vars, stmts.iter(), SolverMode::default());
         for node in 0..4 {
             assert_eq!(result.points_to(v(node)).len(), K, "node {node}");
         }
@@ -1426,7 +1242,7 @@ mod worklist_tests {
                 src: v(0),
             });
         }
-        let (result, stats) = analyze_stmts_with_stats(3, stmts.iter(), SolverOptions::default());
+        let (result, stats) = analyze_stmts_with_stats(3, stmts.iter(), SolverMode::default());
         assert_eq!(result.points_to(v(1)).len(), 1);
         assert_eq!(stats.edges, 1, "duplicate copy edges must collapse to one");
     }
@@ -1437,53 +1253,47 @@ mod cycle_tests {
     use super::*;
     use bootstrap_ir::parse_program;
 
-    #[test]
-    fn copy_cycle_members_share_points_to_sets() {
-        // p -> q -> r -> p is a copy cycle seeded from two sides.
-        let p = parse_program(
-            "int a; int b; int *p; int *q; int *r;
-             void main() { p = &a; r = &b; q = p; r = q; p = r; }",
-        )
-        .unwrap();
-        let baseline = analyze_with(&p, SolverOptions::default());
-        let collapsed = analyze_with(
-            &p,
-            SolverOptions {
-                collapse_cycles: true,
-                ..Default::default()
-            },
-        );
+    /// Runs the production and the eager solver on `src`, checks that
+    /// they agree on every points-to set, and returns the eager result.
+    /// The eager solver must merge something, or the comparison would not
+    /// exercise the merge paths at all.
+    fn adaptive_matches_eager(src: &str) -> (Program, AndersenResult) {
+        let p = parse_program(src).unwrap();
+        let adaptive = analyze_with(&p, SolverMode::Adaptive);
+        let eager = analyze_with(&p, SolverMode::Eager);
         for v in p.var_ids() {
             assert_eq!(
-                baseline.points_to_vars(v),
-                collapsed.points_to_vars(v),
+                adaptive.points_to_vars(v),
+                eager.points_to_vars(v),
                 "mismatch for {}",
                 p.var(v).name()
             );
         }
+        assert!(
+            !eager.merged_groups().is_empty(),
+            "the eager solver should collapse the copy cycle"
+        );
+        (p, eager)
+    }
+
+    #[test]
+    fn copy_cycle_members_share_points_to_sets() {
+        // p -> q -> r -> p is a copy cycle seeded from two sides.
+        let (p, eager) = adaptive_matches_eager(
+            "int a; int b; int *p; int *q; int *r;
+             void main() { p = &a; r = &b; q = p; r = q; p = r; }",
+        );
         let v = |n: &str| p.var_named(n).unwrap();
-        assert_eq!(collapsed.points_to(v("p")).len(), 2);
-        assert_eq!(collapsed.points_to(v("q")).len(), 2);
-        assert_eq!(collapsed.points_to(v("r")).len(), 2);
+        assert_eq!(eager.points_to(v("p")).len(), 2);
+        assert_eq!(eager.points_to(v("q")).len(), 2);
+        assert_eq!(eager.points_to(v("r")).len(), 2);
     }
 
     #[test]
     fn collapse_is_equivalent_on_load_store_programs() {
-        let p = parse_program(
+        adaptive_matches_eager(
             "int a; int b; int *x; int *y; int **z; int **w;
              void main() { x = &a; z = &x; w = z; z = w; *z = &b; y = *w; }",
-        )
-        .unwrap();
-        let baseline = analyze_with(&p, SolverOptions::default());
-        let collapsed = analyze_with(
-            &p,
-            SolverOptions {
-                collapse_cycles: true,
-                ..Default::default()
-            },
         );
-        for v in p.var_ids() {
-            assert_eq!(baseline.points_to_vars(v), collapsed.points_to_vars(v));
-        }
     }
 }

@@ -11,8 +11,6 @@
 //! * [`andersen`] — inclusion-based; bootstrapped by Steensgaard
 //!   partitioning, it refines large partitions into *Andersen clusters*
 //!   (a disjunctive alias cover);
-//! * [`oneflow`] — a Das-style "one level of flow" analysis that can be
-//!   cascaded between the two (precision between Steensgaard and Andersen);
 //! * [`escape`] — thread-escape analysis over the spawn-extended IR,
 //!   feeding the data-race detector;
 //!
@@ -42,7 +40,6 @@ pub mod andersen;
 pub mod bitset;
 pub mod escape;
 pub mod fpresolve;
-pub mod oneflow;
 pub mod steensgaard;
 pub mod unionfind;
 

@@ -3,9 +3,10 @@
 
 use std::collections::BTreeSet;
 
+use bootstrap_analyses::andersen::{self, SolverMode};
 use bootstrap_analyses::bitset::VarSet;
+use bootstrap_analyses::steensgaard;
 use bootstrap_analyses::unionfind::UnionFind;
-use bootstrap_analyses::{andersen, oneflow, steensgaard};
 use bootstrap_ir::{Program, ProgramBuilder, VarId};
 use proptest::prelude::*;
 
@@ -126,23 +127,17 @@ fn build_program(ops: &[(u8, u8, u8)], n_ptrs: usize, n_objs: usize) -> Program 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Precision ordering of the cascade: Andersen ⊆ One-Flow, and both
-    /// are refinements of Steensgaard (any Andersen points-to fact lands
-    /// in the Steensgaard pointee class).
+    /// Precision ordering of the cascade: Andersen refines Steensgaard
+    /// (any Andersen points-to fact lands in the Steensgaard pointee
+    /// class).
     #[test]
     fn cascade_precision_ordering(ops in prop::collection::vec((0u8..5, 0u8..8, 0u8..8), 1..60)) {
         let program = build_program(&ops, 8, 4);
         let an = andersen::analyze(&program);
-        let of = oneflow::analyze(&program);
         let st = steensgaard::analyze(&program);
         for v in program.var_ids() {
             for o in an.points_to(v).iter() {
                 let obj = VarId::new(o as usize);
-                prop_assert!(
-                    of.points_to(v).contains(o),
-                    "One-Flow lost {} -> {}",
-                    program.var(v).name(), program.var(obj).name()
-                );
                 let pointee = st.pointee(st.class_of(v));
                 prop_assert_eq!(
                     pointee,
@@ -154,93 +149,53 @@ proptest! {
         }
     }
 
-    /// The cycle-collapsing solver computes exactly the same points-to
-    /// sets as the baseline solver.
+    /// Both fast solver modes — the adaptive production solver and the
+    /// eager one that runs the cycle machinery from the first pop —
+    /// compute exactly the same points-to sets as the naive full-set
+    /// oracle.
     #[test]
-    fn cycle_collapse_is_lossless(ops in prop::collection::vec((0u8..5, 0u8..8, 0u8..8), 1..80)) {
+    fn fast_solver_modes_match_naive(ops in prop::collection::vec((0u8..5, 0u8..8, 0u8..8), 1..80)) {
         let program = build_program(&ops, 8, 4);
-        let baseline = andersen::analyze_with(&program, andersen::SolverOptions::baseline());
-        let collapsed = andersen::analyze_with(
-            &program,
-            andersen::SolverOptions { collapse_cycles: true, ..andersen::SolverOptions::baseline() },
-        );
-        for v in program.var_ids() {
-            prop_assert_eq!(baseline.points_to_vars(v), collapsed.points_to_vars(v));
-        }
-    }
-
-    /// Every fast-solver configuration — hybrid cycle elimination on/off ×
-    /// wave ordering on/off × periodic sweep on/off × eager vs adaptive
-    /// engagement — computes exactly the same points-to sets as the naive
-    /// full-set oracle. This keeps the periodic-sweep and naive solvers
-    /// honest as oracles and pins the new default (adaptively engaged
-    /// hybrid + wave) to them.
-    #[test]
-    fn all_solver_options_match_naive(ops in prop::collection::vec((0u8..5, 0u8..8, 0u8..8), 1..80)) {
-        let program = build_program(&ops, 8, 4);
-        let naive = andersen::analyze_with(&program, andersen::SolverOptions::naive_oracle());
-        for hybrid_cycles in [false, true] {
-            for wave in [false, true] {
-                for collapse_cycles in [false, true] {
-                    for eager_cycles in [false, true] {
-                        let options = andersen::SolverOptions {
-                            collapse_cycles,
-                            naive: false,
-                            hybrid_cycles,
-                            eager_cycles,
-                            wave,
-                        };
-                        let fast = andersen::analyze_with(&program, options);
-                        for v in program.var_ids() {
-                            prop_assert_eq!(
-                                naive.points_to_vars(v),
-                                fast.points_to_vars(v),
-                                "mismatch for {} ({:?})",
-                                program.var(v).name(),
-                                options
-                            );
-                        }
-                    }
-                }
+        let naive = andersen::analyze_with(&program, SolverMode::Naive);
+        for mode in [SolverMode::Adaptive, SolverMode::Eager] {
+            let fast = andersen::analyze_with(&program, mode);
+            for v in program.var_ids() {
+                prop_assert_eq!(
+                    naive.points_to_vars(v),
+                    fast.points_to_vars(v),
+                    "mismatch for {} ({:?})",
+                    program.var(v).name(),
+                    mode
+                );
             }
         }
     }
 
     /// Oversharing guard (cf. "Unification-based Pointer Analysis without
-    /// Oversharing"): whenever the hybrid solver merges variables into one
-    /// class, the members must be *provably* equal — their naive-oracle
+    /// Oversharing"): whenever the solver merges variables into one class,
+    /// the members must be *provably* equal — their naive-oracle
     /// points-to sets are identical. A merge that widened any member's set
-    /// would show up here as a mismatch.
+    /// would show up here as a mismatch. The eager mode is used because
+    /// these programs are small enough that the adaptive drain usually
+    /// converges before the thrash detector would bring the merge
+    /// machinery in at all.
     #[test]
     fn merged_cycle_members_are_provably_equal(
         ops in prop::collection::vec((0u8..5, 0u8..8, 0u8..8), 1..80),
     ) {
         let program = build_program(&ops, 8, 4);
-        let naive = andersen::analyze_with(&program, andersen::SolverOptions::naive_oracle());
-        for wave in [false, true] {
-            // Eager engagement: these programs are small enough that the
-            // adaptive drain usually converges before the thrash detector
-            // would bring the merge machinery in at all.
-            let options = andersen::SolverOptions {
-                collapse_cycles: false,
-                naive: false,
-                hybrid_cycles: true,
-                eager_cycles: true,
-                wave,
-            };
-            let fast = andersen::analyze_with(&program, options);
-            for group in fast.merged_groups() {
-                let first = &group[0];
-                for member in &group[1..] {
-                    prop_assert_eq!(
-                        naive.points_to_vars(*first),
-                        naive.points_to_vars(*member),
-                        "overshared merge {} ~ {} (wave={})",
-                        program.var(*first).name(),
-                        program.var(*member).name(),
-                        wave
-                    );
-                }
+        let naive = andersen::analyze_with(&program, SolverMode::Naive);
+        let fast = andersen::analyze_with(&program, SolverMode::Eager);
+        for group in fast.merged_groups() {
+            let first = &group[0];
+            for member in &group[1..] {
+                prop_assert_eq!(
+                    naive.points_to_vars(*first),
+                    naive.points_to_vars(*member),
+                    "overshared merge {} ~ {}",
+                    program.var(*first).name(),
+                    program.var(*member).name()
+                );
             }
         }
     }

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use bootstrap_analyses::andersen::{self, SolverOptions, SolverStats};
+use bootstrap_analyses::andersen::{self, SolverMode, SolverStats};
 use bootstrap_analyses::steensgaard;
 use bootstrap_core::relevant::relevant_statements;
 use bootstrap_ir::{Stmt, VarId};
@@ -93,7 +93,7 @@ impl Measurement {
 fn time_solver(
     n_vars: usize,
     stmts: &[Stmt],
-    options: SolverOptions,
+    mode: SolverMode,
     samples: usize,
 ) -> (Duration, Duration, Duration, SolverStats) {
     // One warmup, then the run with the *minimum* end-to-end time (its
@@ -102,11 +102,11 @@ fn time_solver(
     // machine: every disturbance only ever adds time, so the smallest
     // sample is the closest to the solver's intrinsic cost — medians here
     // still jumped ~2x between invocations under host noise.
-    let (_, stats, _) = andersen::analyze_stmts_profiled(n_vars, stmts.iter(), options);
+    let (_, stats, _) = andersen::analyze_stmts_profiled(n_vars, stmts.iter(), mode);
     let mut times: Vec<(Duration, Duration, Duration)> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();
-            let (_, _, phases) = andersen::analyze_stmts_profiled(n_vars, stmts.iter(), options);
+            let (_, _, phases) = andersen::analyze_stmts_profiled(n_vars, stmts.iter(), mode);
             (
                 t0.elapsed(),
                 Duration::from_secs_f64(phases.solve_secs),
@@ -120,15 +120,10 @@ fn time_solver(
 }
 
 fn measure(label: &str, n_vars: usize, stmts: &[Stmt], samples: usize) -> Measurement {
-    let naive_opts = SolverOptions {
-        naive: true,
-        ..Default::default()
-    };
-    let delta_opts = SolverOptions::default();
     let (naive, naive_solve, naive_build, naive_stats) =
-        time_solver(n_vars, stmts, naive_opts, samples);
+        time_solver(n_vars, stmts, SolverMode::Naive, samples);
     let (delta, delta_solve, delta_build, delta_stats) =
-        time_solver(n_vars, stmts, delta_opts, samples);
+        time_solver(n_vars, stmts, SolverMode::Adaptive, samples);
     Measurement {
         label: label.to_string(),
         n_vars,

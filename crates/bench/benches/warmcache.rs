@@ -22,7 +22,7 @@
 //! at the repo root. Run with: `cargo bench --bench warmcache` (add
 //! `-- --quick` for one sample per measurement).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use bootstrap_checks::{run_checks, CheckReport, CheckerKind};
@@ -74,15 +74,15 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn config_with_store(dir: &PathBuf) -> Config {
+fn config_with_store(dir: &Path) -> Config {
     Config {
-        store: Some(StoreConfig::new(dir.clone())),
+        store: Some(StoreConfig::new(dir)),
         ..Config::default()
     }
 }
 
 /// One full `check` (cascade + checker batch) against `dir`.
-fn check_once(program: &Program, dir: &PathBuf) -> (Duration, CheckReport) {
+fn check_once(program: &Program, dir: &Path) -> (Duration, CheckReport) {
     let t0 = Instant::now();
     let session = Session::new(program, config_with_store(dir));
     let report = run_checks(&session, &CheckerKind::ALL);
@@ -103,7 +103,7 @@ fn findings_key(r: &CheckReport) -> Vec<String> {
 
 /// Warm parallel cluster reports at 1, 2 and 4 threads must be identical
 /// (modulo wall time).
-fn threads_identical(program: &Program, dir: &PathBuf) -> bool {
+fn threads_identical(program: &Program, dir: &Path) -> bool {
     let key = |threads: usize| -> Vec<String> {
         let session = Session::new(program, config_with_store(dir));
         let clusters = session.cover().clusters().to_vec();

@@ -1500,8 +1500,7 @@ mod tests {
                 .next()
                 .unwrap()
                 .split_whitespace()
-                .rev()
-                .nth(0)
+                .next_back()
                 .unwrap()
                 .parse()
                 .unwrap();

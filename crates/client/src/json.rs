@@ -90,13 +90,6 @@ impl Json {
         }
     }
 
-    /// Serializes to compact JSON text.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -135,6 +128,15 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+/// Serializes to compact JSON text.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
     }
 }
 

@@ -33,11 +33,11 @@ use std::sync::Arc;
 
 use bootstrap_analyses::SteensgaardResult;
 use bootstrap_ir::{CallGraph, CallTarget, FuncId, Loc, Program, Stmt, StmtIdx, VarId};
+use bootstrap_store::FxHashSet;
 
 use crate::budget::{AnalysisBudget, Outcome};
 use crate::constraint::{Atom, Cond};
 use crate::degrade::{DegradeReason, FaultPhase, FaultPlan};
-use crate::fxhash::FxHashSet;
 use crate::intern::{ArenaFull, CondId, DeadId, DeadVars, Interner};
 use crate::relevant::{
     modifying_functions, relevant_statements_indexed, RelevantIndex, RelevantSet,
@@ -104,7 +104,7 @@ pub struct EngineOptions {
     pub path_sensitive: bool,
     /// Run the pre-interning walk (structural `Cond`/dead-set worklist
     /// items, no memo tables) — the differential oracle and bench baseline,
-    /// mirroring `SolverOptions::naive` on the Andersen side.
+    /// mirroring `SolverMode::Naive` on the Andersen side.
     pub uninterned: bool,
     /// Share this arena (typically the session's) instead of creating a
     /// private one. Ignored — a private arena is used — if its widening cap

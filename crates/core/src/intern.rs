@@ -24,10 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bootstrap_ir::{Program, VarId};
+use bootstrap_store::FxHashMap;
 use parking_lot::RwLock;
 
 use crate::constraint::{Atom, Cond};
-use crate::fxhash::FxHashMap;
 
 /// The arena ran out of ids: interning one more distinct value would
 /// exceed the table's id capacity (at most `u32::MAX` values, or the lower

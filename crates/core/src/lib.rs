@@ -44,7 +44,6 @@ pub mod cover;
 pub mod degrade;
 pub mod engine;
 pub mod fsci_cache;
-mod fxhash;
 pub mod incremental;
 pub mod intern;
 pub mod parallel;
@@ -71,5 +70,5 @@ pub use intern::{ArenaFull, CondId, DeadId, Interner, InternerStats};
 pub use parallel::ClusterReport;
 pub use profile::{Phase, PhaseSnapshot, PhaseStats};
 pub use relevant::{relevant_statements, RelevantSet};
-pub use session::{CascadeTimings, Config, MiddleStage, QueryLimits, Session};
+pub use session::{CascadeTimings, Config, QueryLimits, Session};
 pub use summary::{Source, SummaryTuple, Value};

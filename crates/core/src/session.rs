@@ -5,8 +5,8 @@
 //! 1. Steensgaard's analysis partitions the pointers (disjoint cover);
 //! 2. partitions larger than the *Andersen threshold* (the paper found 60
 //!    empirically) are re-analyzed — restricted to their relevant
-//!    statements — with Andersen's analysis (optionally with a One-Flow
-//!    stage in between), breaking them into smaller clusters;
+//!    statements — with Andersen's analysis, breaking them into smaller
+//!    clusters;
 //! 3. queries and benchmarks then run per cluster through an
 //!    [`crate::analyzer::Analyzer`].
 //!
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use bootstrap_analyses::{andersen, oneflow, steensgaard, SteensgaardResult};
+use bootstrap_analyses::{andersen, steensgaard, SteensgaardResult};
 use bootstrap_ir::{CallGraph, FuncId, Loc, Program, Stmt, VarId};
 use bootstrap_store::{StoreConfig, StoreCounters};
 use parking_lot::RwLock;
@@ -40,20 +40,10 @@ use crate::profile::{Phase, PhaseProfile, PhaseSnapshot};
 use crate::relevant::{relevant_statements_indexed, RelevantIndex};
 use crate::summary::Source;
 
-/// Which analyses the cascade runs on oversized partitions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MiddleStage {
-    /// Steensgaard → Andersen (the paper's default cascade).
-    #[default]
-    None,
-    /// Steensgaard → One-Flow → Andersen (the paper's suggested extension).
-    OneFlow,
-}
-
 /// Session configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Partitions larger than this are refined by the next cascade stage
+    /// Partitions larger than this are refined by Andersen's analysis
     /// (the paper's empirical value: 60).
     pub andersen_threshold: usize,
     /// Maximum number of atoms per constraint conjunction before widening.
@@ -71,8 +61,6 @@ pub struct Config {
     pub oracle_step_budget: u64,
     /// Step budget for each user query.
     pub query_step_budget: u64,
-    /// Optional extra cascade stage.
-    pub middle_stage: MiddleStage,
     /// Track branch literals along walks and weed out syntactically
     /// infeasible paths (the paper's path-sensitivity extension, §3).
     /// Off by default, matching the paper's path-insensitive core.
@@ -101,7 +89,6 @@ impl Default for Config {
             alias_on_null: false,
             oracle_step_budget: 200_000,
             query_step_budget: 5_000_000,
-            middle_stage: MiddleStage::None,
             path_sensitive: false,
             fault_plan: None,
             interner_max_ids: u32::MAX,
@@ -191,8 +178,8 @@ impl QueryLimits {
 pub struct CascadeTimings {
     /// Time for Steensgaard's analysis + partitioning.
     pub steensgaard: Duration,
-    /// Time for the bootstrapped refinement (Andersen / One-Flow) of
-    /// oversized partitions.
+    /// Time for the bootstrapped Andersen refinement of oversized
+    /// partitions.
     pub clustering: Duration,
 }
 
@@ -572,7 +559,7 @@ impl<'p> Session<'p> {
         let (result, solver_stats) = andersen::analyze_stmts_with_stats(
             self.program.var_count(),
             stmts,
-            andersen::SolverOptions::default(),
+            andersen::SolverMode::default(),
         );
         let an = Arc::new(AndersenTier {
             result,
@@ -778,8 +765,9 @@ impl<'p> Session<'p> {
     }
 }
 
-/// Builds the configured bootstrapped cover, plus the aggregated solver
-/// counters of every Andersen refinement run along the way.
+/// Builds the bootstrapped cover (Steensgaard → Andersen), plus the
+/// aggregated solver counters of every Andersen refinement run along the
+/// way.
 fn build_cover(
     program: &Program,
     steens: &SteensgaardResult,
@@ -787,66 +775,35 @@ fn build_cover(
     config: &Config,
     alias_partitions: &HashMap<bootstrap_analyses::ClassId, Vec<VarId>>,
 ) -> (AliasCover, andersen::SolverStats) {
-    let oneflow_result = match config.middle_stage {
-        MiddleStage::OneFlow => Some(oneflow::analyze(program)),
-        MiddleStage::None => None,
-    };
     let mut keys: Vec<_> = alias_partitions.keys().copied().collect();
     keys.sort();
     let mut clusters = Vec::new();
     let mut solver_stats = andersen::SolverStats::default();
     for class in keys {
-        let pointer_members: Vec<VarId> = alias_partitions[&class].clone();
-        if pointer_members.len() <= config.andersen_threshold {
-            clusters.push(Cluster::new(
-                0,
-                ClusterOrigin::Steensgaard(class),
-                pointer_members,
-            ));
+        let members: Vec<VarId> = alias_partitions[&class].clone();
+        if members.len() <= config.andersen_threshold {
+            clusters.push(Cluster::new(0, ClusterOrigin::Steensgaard(class), members));
             continue;
         }
-        // Oversized: cascade. Optionally One-Flow first.
-        let groups: Vec<(ClusterOrigin, Vec<VarId>)> = match &oneflow_result {
-            Some(ofr) => ofr
-                .clusters(&pointer_members)
-                .into_iter()
-                .map(|ms| {
-                    (
-                        ClusterOrigin::OneFlow {
-                            partition: class,
-                            object: None,
-                        },
-                        ms,
-                    )
-                })
-                .collect(),
-            None => vec![(ClusterOrigin::Steensgaard(class), pointer_members)],
-        };
-        for (origin, group) in groups {
-            if group.len() <= config.andersen_threshold {
-                clusters.push(Cluster::new(0, origin, group));
-                continue;
-            }
-            // Andersen, bootstrapped: restricted to the group's relevant
-            // statements.
-            let rel = relevant_statements_indexed(program, steens, index, &group);
-            let stmts: Vec<&Stmt> = rel.stmts().map(|loc| program.stmt_at(loc)).collect();
-            let (an, run_stats) = andersen::analyze_stmts_with_stats(
-                program.var_count(),
-                stmts,
-                andersen::SolverOptions::default(),
-            );
-            solver_stats.absorb(&run_stats);
-            for ac in an.clusters(&group) {
-                clusters.push(Cluster::new(
-                    0,
-                    ClusterOrigin::Andersen {
-                        partition: class,
-                        object: ac.object,
-                    },
-                    ac.members,
-                ));
-            }
+        // Oversized: Andersen, bootstrapped — restricted to the
+        // partition's relevant statements.
+        let rel = relevant_statements_indexed(program, steens, index, &members);
+        let stmts: Vec<&Stmt> = rel.stmts().map(|loc| program.stmt_at(loc)).collect();
+        let (an, run_stats) = andersen::analyze_stmts_with_stats(
+            program.var_count(),
+            stmts,
+            andersen::SolverMode::default(),
+        );
+        solver_stats.absorb(&run_stats);
+        for ac in an.clusters(&members) {
+            clusters.push(Cluster::new(
+                0,
+                ClusterOrigin::Andersen {
+                    partition: class,
+                    object: ac.object,
+                },
+                ac.members,
+            ));
         }
     }
     (AliasCover::new(clusters), solver_stats)
@@ -912,34 +869,6 @@ mod tests {
         let whole = s.whole_cover();
         assert_eq!(whole.len(), 1);
         assert_eq!(whole.clusters()[0].members.len(), s.pointers().len());
-    }
-
-    #[test]
-    fn oneflow_middle_stage_builds_valid_cover() {
-        let mut src = String::from("int *hub;\n");
-        for i in 0..12 {
-            src.push_str(&format!("int o{i}; int *p{i};\n"));
-        }
-        src.push_str("void main() {\n");
-        for i in 0..12 {
-            src.push_str(&format!("p{i} = &o{i};\nhub = p{i};\n"));
-        }
-        src.push_str("}\n");
-        let p = parse_program(&src).unwrap();
-        let config = Config {
-            andersen_threshold: 4,
-            middle_stage: MiddleStage::OneFlow,
-            ..Config::default()
-        };
-        let s = Session::new(&p, config);
-        assert!(s.cover().covers(s.pointers()));
-        assert!(s.cover().clusters().iter().any(|c| matches!(
-            c.origin,
-            ClusterOrigin::OneFlow { .. }
-        ) || matches!(
-            c.origin,
-            ClusterOrigin::Andersen { .. }
-        )));
     }
 
     #[test]

@@ -211,7 +211,7 @@ proptest! {
 
     /// The hash-consed walk is a pure representation change: over random
     /// programs, the interned engine and the pre-interning oracle walk
-    /// (`EngineOptions::uninterned`, mirroring `SolverOptions::naive`)
+    /// (`EngineOptions::uninterned`, mirroring `SolverMode::Naive`)
     /// compute identical summary sets and identical local sources, in both
     /// path-insensitive and path-sensitive modes.
     #[test]

@@ -5,7 +5,7 @@
 //! silent recompute — never a panic, never a stale answer.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bootstrap_core::parallel::process_clusters_parallel;
 use bootstrap_core::{
@@ -40,9 +40,9 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn config_with_store(dir: &PathBuf) -> Config {
+fn config_with_store(dir: &Path) -> Config {
     Config {
-        store: Some(StoreConfig::new(dir.clone())),
+        store: Some(StoreConfig::new(dir)),
         ..Config::default()
     }
 }

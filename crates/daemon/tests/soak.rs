@@ -242,7 +242,7 @@ fn soak_config(workers: usize, rounds: u64, iters: u64, seed: u64) -> (u64, u64)
             let v = splitmix(&mut rng) % VARIANTS;
             soak.edit(file, v);
             soak.check();
-            if splitmix(&mut rng) % 4 == 0 {
+            if splitmix(&mut rng).is_multiple_of(4) {
                 soak.query(file);
             }
         }

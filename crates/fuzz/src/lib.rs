@@ -43,7 +43,7 @@ use std::fs;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use bootstrap_analyses::andersen::{self, SolverOptions};
+use bootstrap_analyses::andersen::{self, SolverMode};
 use bootstrap_analyses::steensgaard;
 use bootstrap_checks::{run_checks, CheckReport, CheckerKind};
 use bootstrap_core::parallel::{lpt_order, process_clusters, process_clusters_parallel};
@@ -255,14 +255,8 @@ pub fn check_faults_guarded(src: &str) -> Option<InvariantViolation> {
 
 fn check_program(program: &Program) -> Result<(), InvariantViolation> {
     let steens = steensgaard::analyze(program);
-    let naive = andersen::analyze_with(
-        program,
-        SolverOptions {
-            naive: true,
-            ..SolverOptions::default()
-        },
-    );
-    let delta = andersen::analyze_with(program, SolverOptions::default());
+    let naive = andersen::analyze_with(program, SolverMode::Naive);
+    let delta = andersen::analyze_with(program, SolverMode::Adaptive);
 
     // Strict aliasing semantics for the lattice checks: entry garbage and
     // NULL-sharing are deliberate over-approximations that sit *outside*
@@ -276,51 +270,39 @@ fn check_program(program: &Program) -> Result<(), InvariantViolation> {
     let s2 = Session::new(program, strict);
     let pointers: Vec<VarId> = s1.pointers().to_vec();
 
-    // --- Andersen solver matrix vs the naive oracle ----------------------
-    // Every fast configuration — hybrid cycle elimination on/off × wave
-    // propagation on/off × eager vs adaptive engagement — must agree with
-    // the naive full-set solver, and any class the hybrid solver merges
-    // must be provably equal under it.
-    for hybrid_cycles in [false, true] {
-        for wave in [false, true] {
-            for eager_cycles in [false, true] {
-                let opts = SolverOptions {
-                    collapse_cycles: false,
-                    naive: false,
-                    hybrid_cycles,
-                    eager_cycles,
-                    wave,
-                };
-                let fast = andersen::analyze_with(program, opts);
-                for &v in &pointers {
-                    let a = sorted_dbg(&naive.points_to_vars(v));
-                    let b = sorted_dbg(&fast.points_to_vars(v));
-                    if a != b {
-                        return viol(
-                            "andersen-naive-vs-delta",
-                            format!(
-                                "pts({}) naive {:?} != fast {:?} ({opts:?})",
-                                program.var(v).name(),
-                                a,
-                                b
-                            ),
-                        );
-                    }
-                }
-                for group in fast.merged_groups() {
-                    let first = sorted_dbg(&naive.points_to_vars(group[0]));
-                    for &member in &group[1..] {
-                        if first != sorted_dbg(&naive.points_to_vars(member)) {
-                            return viol(
-                                "andersen-overshared-merge",
-                                format!(
-                                    "{} and {} merged but not provably equal ({opts:?})",
-                                    program.var(group[0]).name(),
-                                    program.var(member).name()
-                                ),
-                            );
-                        }
-                    }
+    // --- Andersen solver modes vs the naive oracle ----------------------
+    // Both fast modes — adaptive (production) and eager (cycle machinery
+    // from the first pop) — must agree with the naive full-set solver, and
+    // any class they merge must be provably equal under it.
+    let eager = andersen::analyze_with(program, SolverMode::Eager);
+    for (mode, fast) in [(SolverMode::Adaptive, &delta), (SolverMode::Eager, &eager)] {
+        for &v in &pointers {
+            let a = sorted_dbg(&naive.points_to_vars(v));
+            let b = sorted_dbg(&fast.points_to_vars(v));
+            if a != b {
+                return viol(
+                    "andersen-naive-vs-delta",
+                    format!(
+                        "pts({}) naive {:?} != fast {:?} ({mode:?})",
+                        program.var(v).name(),
+                        a,
+                        b
+                    ),
+                );
+            }
+        }
+        for group in fast.merged_groups() {
+            let first = sorted_dbg(&naive.points_to_vars(group[0]));
+            for &member in &group[1..] {
+                if first != sorted_dbg(&naive.points_to_vars(member)) {
+                    return viol(
+                        "andersen-overshared-merge",
+                        format!(
+                            "{} and {} merged but not provably equal ({mode:?})",
+                            program.var(group[0]).name(),
+                            program.var(member).name()
+                        ),
+                    );
                 }
             }
         }
@@ -1102,9 +1084,8 @@ mod tests {
         // The big-partition generator builds the two workloads where a
         // careless cycle detector overshares: closed hub copy cycles and
         // handle tables (loads/stores through a shared double pointer).
-        // Every class the hybrid solver merges — with and without wave
-        // ordering — must be provably equal under the naive oracle, and
-        // the points-to sets must match it exactly.
+        // Every class the eager solver merges must be provably equal under
+        // the naive oracle, and the points-to sets must match it exactly.
         use bootstrap_workloads::generator::{self, BigPartition, GenConfig};
         let workloads = [
             // Deep spokes feeding a short closed hub chain.
@@ -1144,46 +1125,37 @@ mod tests {
         ];
         for config in workloads {
             let program = generator::generate(&config);
-            let naive = andersen::analyze_with(&program, SolverOptions::naive_oracle());
-            for wave in [false, true] {
-                // Eager engagement: these workloads are small enough that
-                // the adaptive drain can converge before the thrash
-                // detector brings the merge machinery in, and the guard
-                // below needs merges to inspect.
-                let opts = SolverOptions {
-                    collapse_cycles: false,
-                    naive: false,
-                    hybrid_cycles: true,
-                    eager_cycles: true,
-                    wave,
-                };
-                let fast = andersen::analyze_with(&program, opts);
-                for v in program.var_ids() {
-                    assert_eq!(
-                        naive.points_to_vars(v),
-                        fast.points_to_vars(v),
-                        "{}: pts({}) diverged ({opts:?})",
-                        config.name,
-                        program.var(v).name()
-                    );
-                }
-                let groups = fast.merged_groups();
-                assert!(
-                    !groups.is_empty(),
-                    "{}: expected the hybrid solver to merge at least one cycle",
-                    config.name
+            let naive = andersen::analyze_with(&program, SolverMode::Naive);
+            // Eager engagement: these workloads are small enough that the
+            // adaptive drain can converge before the thrash detector brings
+            // the merge machinery in, and the guard below needs merges to
+            // inspect.
+            let fast = andersen::analyze_with(&program, SolverMode::Eager);
+            for v in program.var_ids() {
+                assert_eq!(
+                    naive.points_to_vars(v),
+                    fast.points_to_vars(v),
+                    "{}: pts({}) diverged",
+                    config.name,
+                    program.var(v).name()
                 );
-                for group in groups {
-                    for &member in &group[1..] {
-                        assert_eq!(
-                            naive.points_to_vars(group[0]),
-                            naive.points_to_vars(member),
-                            "{}: overshared merge {} ~ {} ({opts:?})",
-                            config.name,
-                            program.var(group[0]).name(),
-                            program.var(member).name()
-                        );
-                    }
+            }
+            let groups = fast.merged_groups();
+            assert!(
+                !groups.is_empty(),
+                "{}: expected the eager solver to merge at least one cycle",
+                config.name
+            );
+            for group in groups {
+                for &member in &group[1..] {
+                    assert_eq!(
+                        naive.points_to_vars(group[0]),
+                        naive.points_to_vars(member),
+                        "{}: overshared merge {} ~ {}",
+                        config.name,
+                        program.var(group[0]).name(),
+                        program.var(member).name()
+                    );
                 }
             }
         }

@@ -35,8 +35,9 @@
 
 pub mod codec;
 
+use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::hash::Hasher;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,10 +132,19 @@ pub enum LoadOutcome {
     Invalidated,
 }
 
-/// FxHash-style 64-bit folding hasher (little-endian chunking, so the
-/// checksum is stable across platforms). Also usable by callers for key
-/// derivation via the [`Hasher`] trait.
-#[derive(Clone, Default)]
+/// FxHash-style 64-bit folding hasher: rotate, xor, multiply by a
+/// golden-ratio-derived odd constant. Byte strings fold in little-endian
+/// 8-byte chunks, so checksums and store keys are stable across
+/// platforms. It also keys the analysis engine's hot in-memory tables
+/// ([`FxHashMap`], [`FxHashSet`]), whose keys are small analysis-internal
+/// integers that never come from an attacker, so SipHash's DoS
+/// resistance buys nothing there.
+///
+/// The integer fast paths fold the value as one word. On little-endian
+/// targets that is exactly what the default `write(&n.to_ne_bytes())`
+/// would produce, so values fed through `write_u64` and `write` are
+/// unchanged by them.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FxHasher64 {
     hash: u64,
 }
@@ -142,16 +152,19 @@ pub struct FxHasher64 {
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 impl FxHasher64 {
+    #[inline]
     fn add(&mut self, word: u64) {
         self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
     }
 }
 
 impl Hasher for FxHasher64 {
+    #[inline]
     fn finish(&self) -> u64 {
         self.hash
     }
 
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
@@ -165,10 +178,36 @@ impl Hasher for FxHasher64 {
         }
     }
 
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    #[inline]
     fn write_u64(&mut self, v: u64) {
         self.add(v);
     }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
 }
+
+/// A `HashMap` keyed through [`FxHasher64`].
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher64>>;
+/// A `HashSet` keyed through [`FxHasher64`].
+pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher64>>;
 
 /// Hashes a byte string with [`FxHasher64`] (entry checksums).
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
@@ -909,14 +948,32 @@ mod tests {
 
     #[test]
     fn fx_hasher_is_stable() {
-        // Pin the hash of a known input: entries written by an older
+        // Pin the hashes of known inputs: entries written by an older
         // build must stay addressable byte-for-byte.
-        let h1 = hash_bytes(b"bootstrap");
-        let h2 = hash_bytes(b"bootstrap");
-        assert_eq!(h1, h2);
-        assert_ne!(h1, hash_bytes(b"bootstrap!"));
+        assert_eq!(hash_bytes(b"bootstrap"), 0xcf57_742f_e022_2516);
+        assert_ne!(hash_bytes(b"bootstrap"), hash_bytes(b"bootstrap!"));
         let mut h = FxHasher64::default();
         h.write_u64(42);
-        assert_ne!(h.finish(), 0);
+        assert_eq!(h.finish(), 0x5e77_c80c_6b95_bc72);
+    }
+
+    #[test]
+    fn fx_hasher_keys_maps_and_mixes_small_ids() {
+        let hash_of = |parts: &[u64]| {
+            let mut h = FxHasher64::default();
+            for &p in parts {
+                h.write_u64(p);
+            }
+            h.finish()
+        };
+        assert_ne!(hash_of(&[1, 2]), hash_of(&[2, 1]), "order must matter");
+        let hashes: HashSet<u64> = (0u64..1024).map(|i| hash_of(&[i])).collect();
+        assert_eq!(hashes.len(), 1024, "nearby small ids must not collide");
+        let mut m: FxHashMap<(u32, u32), u32> = FxHashMap::default();
+        for i in 0..100u32 {
+            m.insert((i, i + 1), i);
+        }
+        assert_eq!(m.len(), 100);
+        assert_eq!(m.get(&(41, 42)), Some(&41));
     }
 }
