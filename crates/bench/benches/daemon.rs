@@ -8,16 +8,17 @@
 //!   no store, no residency: what a plain CLI invocation pays;
 //! * **edit barrier** — the daemon's epoch turnover after a one-file
 //!   edit: the one lowering of the edited workspace, partition diff,
-//!   store adoption of every clean cluster, and the deferred `edit_ok`
-//!   reply;
+//!   carrying the adoption ledger forward over every clean cluster, the
+//!   journal write, and the deferred `edit_ok` reply;
 //! * **warm re-check** — the `check` request against the rebuilt
-//!   resident session, where clean clusters answer from adopted
-//!   summaries.
+//!   resident session, where clean clusters answer from store entries
+//!   the ledger adopts without rewriting them.
 //!
 //! For every edit the daemon's dirty accounting is recorded; the bench
 //! asserts the dirty fraction stays proportional to the single-file
 //! footprint (strictly below 1) and reports latency percentiles.
-//! Dumps `BENCH_daemon.json` at the repo root. Run with:
+//! Dumps `BENCH_daemon.json` at the repo root, with the machine's core
+//! count and `rustc -V`. Run with:
 //! `cargo bench --bench daemon` (add `-- --quick` for a short pass).
 
 use std::collections::BTreeMap;
@@ -102,6 +103,18 @@ fn cold_check(files: &BTreeMap<String, String>) -> (Duration, usize) {
     let session = Session::new(&program, Config::default());
     let report = run_checks(&session, &CheckerKind::ALL);
     (t0.elapsed(), report.findings.len())
+}
+
+/// `rustc -V` of the toolchain on `PATH`, or `"unknown"`.
+fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -246,6 +259,7 @@ fn main() {
             "  \"compare\": \"cold-check-vs-warm-daemon-recheck-after-1-file-edit\",\n",
             "  \"unit\": \"seconds\",\n",
             "  \"cores\": {},\n",
+            "  \"rustc\": \"{}\",\n",
             "  \"files\": {}, \"chain\": {}, \"findings\": {}, \"edits\": {},\n",
             "  \"cold_check_secs\": {:.6},\n",
             "  \"edit_barrier_secs\": {{\"p50\": {:.6}, \"p90\": {:.6}, \"max\": {:.6}}},\n",
@@ -255,6 +269,7 @@ fn main() {
             "  \"cold_over_warm_turnaround\": {:.2}\n}}\n"
         ),
         std::thread::available_parallelism().map_or(1, |n| n.get()),
+        rustc_version(),
         N_FILES + 1,
         CHAIN,
         findings,

@@ -2,7 +2,9 @@
 //! as a subprocess, apply acknowledged edits, kill -9, restart on the
 //! same socket and cache dir, and require the replayed warm findings to
 //! be byte-identical to both the pre-kill response and a cold in-process
-//! run of the same workspace. Also drives `check --remote` end to end.
+//! run of the same workspace, with every store entry the first check
+//! needs accepted from the journaled adoption ledger. Also drives
+//! `check --remote` end to end.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -74,9 +76,9 @@ fn wait_ready(client: &Client, child: &mut Child) {
     panic!("daemon never became ready");
 }
 
-fn stats_epoch(client: &Client) -> u64 {
+fn stat(client: &Client, key: &str) -> u64 {
     match client.request(&Request::Stats).unwrap() {
-        Response::StatsOk(json) => json.get("epoch").and_then(|v| v.as_u64()).unwrap(),
+        Response::StatsOk(json) => json.get(key).and_then(|v| v.as_u64()).unwrap(),
         other => panic!("expected stats_ok, got {other:?}"),
     }
 }
@@ -122,8 +124,10 @@ fn sigkill_restart_replays_to_identical_findings() {
     wait_ready(&client, &mut child);
 
     // Two acknowledged edits: each EditOk implies the journal publish
-    // that preceded it, so both must survive the kill.
+    // that preceded it, so both must survive the kill. Each epoch is
+    // checked, so the last one adopts `a`'s entries written in epoch 1.
     for (prefix, v, expect_epoch) in [("a", 1, 1), ("b", 1, 2)] {
+        let _ = warm_text(&client);
         match client
             .request(&Request::Edit {
                 file: format!("{prefix}.c"),
@@ -149,10 +153,15 @@ fn sigkill_restart_replays_to_identical_findings() {
 
     let mut child = spawn_serve(&socket, &cache, &seed_paths);
     wait_ready(&client, &mut child);
-    assert_eq!(stats_epoch(&client), 2, "journal must replay both edits");
+    assert_eq!(stat(&client, "epoch"), 2, "journal must replay both edits");
     let after = warm_text(&client);
     assert_eq!(after, before, "post-kill findings diverged from pre-kill");
     assert_eq!(after, cold_text(&files), "warm findings diverged from cold");
+    // Fully warm: every entry the check consulted was on disk and valid,
+    // including the ones written under epoch 1's program hash.
+    assert!(stat(&client, "store_hits") > 0);
+    assert_eq!(stat(&client, "store_misses"), 0);
+    assert_eq!(stat(&client, "store_invalidated"), 0);
 
     // `check --remote` re-sends a.c (same content) and runs the suite
     // through the daemon; findings mean exit code 1.

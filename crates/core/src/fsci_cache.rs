@@ -40,9 +40,18 @@ pub struct FsciCacheStats {
 /// may-points-to set computed for it.
 #[derive(Default)]
 pub struct SharedFsciCache {
-    shards: [RwLock<HashMap<Key, CachedPts>>; SHARDS],
+    shards: [RwLock<Shard>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// One shard: every key of a variable lands in the same shard, which
+/// also lists the locations cached per variable, so a store publish
+/// reads only its slice's entries.
+#[derive(Default)]
+struct Shard {
+    map: HashMap<Key, CachedPts>,
+    locs: HashMap<VarId, Vec<Loc>>,
 }
 
 impl SharedFsciCache {
@@ -51,20 +60,15 @@ impl SharedFsciCache {
         Self::default()
     }
 
-    fn shard(&self, key: &Key) -> &RwLock<HashMap<Key, CachedPts>> {
-        // Cheap mix of the two ids; shard count is a power of two.
-        let h = (key.0.index() as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(key.1.func.index() as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(key.1.stmt as u64);
+    fn shard(&self, v: VarId) -> &RwLock<Shard> {
+        // Cheap mix of the variable id; shard count is a power of two.
+        let h = (v.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         &self.shards[(h >> 56) as usize & (SHARDS - 1)]
     }
 
     /// Looks up a cached result, bumping the hit/miss counters.
     pub fn get(&self, v: VarId, loc: Loc) -> Option<CachedPts> {
-        let key = (v, loc);
-        let found = self.shard(&key).read().get(&key).cloned();
+        let found = self.shard(v).read().map.get(&(v, loc)).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -76,21 +80,50 @@ impl SharedFsciCache {
     /// writers for the same key computed the same value (clean FSCI results
     /// are order-independent), so the race is benign.
     pub fn insert(&self, v: VarId, loc: Loc, pts: CachedPts) {
-        let key = (v, loc);
-        self.shard(&key).write().insert(key, pts);
+        let mut shard = self.shard(v).write();
+        if shard.map.insert((v, loc), pts).is_none() {
+            shard.locs.entry(v).or_default().push(loc);
+        }
     }
 
-    /// A deterministic (sorted) snapshot of every cached entry, for
+    /// Every cached entry of the variables in `vars`, sorted by key, for
     /// publishing to the persistent store. Degraded (`None`) results are
     /// included: they are deterministic for a clean run too, and caching
     /// the "budget ran out here" outcome keeps warm and cold answers
     /// identical.
+    pub(crate) fn entries_of(
+        &self,
+        vars: impl IntoIterator<Item = VarId>,
+    ) -> Vec<(Key, CachedPts)> {
+        let mut vars: Vec<VarId> = vars.into_iter().collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let mut out = Vec::new();
+        for v in vars {
+            let shard = self.shard(v).read();
+            let Some(locs) = shard.locs.get(&v) else {
+                continue;
+            };
+            let start = out.len();
+            out.extend(
+                locs.iter()
+                    .map(|&loc| ((v, loc), shard.map[&(v, loc)].clone())),
+            );
+            out[start..].sort_unstable_by_key(|(k, _)| *k);
+        }
+        out
+    }
+
+    /// A sorted snapshot of every cached entry: the oracle for
+    /// [`SharedFsciCache::entries_of`].
+    #[cfg(test)]
     pub(crate) fn snapshot(&self) -> Vec<(Key, CachedPts)> {
         let mut all: Vec<(Key, CachedPts)> = self
             .shards
             .iter()
             .flat_map(|s| {
                 s.read()
+                    .map
                     .iter()
                     .map(|(k, v)| (*k, v.clone()))
                     .collect::<Vec<_>>()
@@ -105,7 +138,7 @@ impl SharedFsciCache {
         FsciCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.read().len()).sum(),
+            entries: self.shards.iter().map(|s| s.read().map.len()).sum(),
         }
     }
 }
@@ -148,8 +181,29 @@ mod tests {
             cache.insert(v, loc, None);
         }
         assert_eq!(cache.stats().entries, 256);
-        let populated = cache.shards.iter().filter(|s| !s.read().is_empty()).count();
+        let populated = cache
+            .shards
+            .iter()
+            .filter(|s| !s.read().map.is_empty())
+            .count();
         assert!(populated > 1, "all 256 keys landed in one shard");
+    }
+
+    #[test]
+    fn entries_of_reads_only_the_named_variables_in_key_order() {
+        let cache = SharedFsciCache::new();
+        for i in (0..64).rev() {
+            let v = VarId::new(i % 8);
+            cache.insert(v, Loc::new(FuncId::new(i % 3), i as u32), None);
+        }
+        let wanted = [VarId::new(5), VarId::new(2), VarId::new(5)];
+        let scanned: Vec<_> = cache
+            .snapshot()
+            .into_iter()
+            .filter(|((v, _), _)| wanted.contains(v))
+            .collect();
+        assert_eq!(scanned.len(), 16);
+        assert_eq!(cache.entries_of(wanted), scanned);
     }
 
     #[test]

@@ -31,31 +31,116 @@
 //!
 //! Between epochs, [`diff_and_adopt`] matches partitions by *canonical
 //! id* (hash of sorted member names), compares fingerprints, closes the
-//! changed set under dependencies, and grants the session's persistent
-//! store an adoption: entries recorded under the previous whole-program
-//! hash stay valid for clusters wholly inside the clean set, sidestepping
-//! the store's whole-program gate exactly where it is provably too
-//! coarse.
+//! changed set under dependencies, and carries the previous epoch's
+//! [`AdoptionLedger`] forward: every ledger entry whose partitions are all
+//! clean stays valid for the new program, so the store accepts that
+//! cluster's entry under the program hash it was written with. Nothing
+//! is rewritten on disk; a clean cluster's entry is written once and
+//! then adopted for as many epochs as its partitions stay clean.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::fmt;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 use bootstrap_analyses::ClassId;
 use bootstrap_ir::{FuncId, Program, VarId};
-use bootstrap_store::{FxHasher64, FORMAT_VERSION};
+use bootstrap_store::{FxHashMap, FxHasher64, FORMAT_VERSION};
+use parking_lot::Mutex;
 
 use crate::cover::ClusterOrigin;
 use crate::relevant::relevant_statements_indexed;
 use crate::session::Session;
 
 /// A per-partition content snapshot of one program epoch: canonical
-/// partition id → fingerprint, plus the epoch's whole-program hash.
+/// partition id → fingerprint, and a handle on the epoch's adoption
+/// ledger.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionSnapshot {
-    /// The whole-program content hash this snapshot was taken at.
-    pub program_hash: u64,
     /// Canonical partition id → content fingerprint.
     pub fingerprints: BTreeMap<u64, u64>,
+    /// The snapshotted session's ledger. A shared handle, not a copy:
+    /// entries the session records after the snapshot (its checks run
+    /// later) are visible to the next epoch's [`diff_and_adopt`].
+    pub ledger: AdoptionLedger,
+}
+
+/// One store entry a session accepted or published: the cluster's store
+/// key, the program hash the entry's envelope carries, and the canonical
+/// ids of the alias partitions the cluster's members belong to.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LedgerEntry {
+    /// The cluster's content-addressed store key.
+    pub key: u64,
+    /// The whole-program hash the entry was written under.
+    pub program_hash: u64,
+    /// Sorted canonical ids of the partitions the cluster spans.
+    pub partitions: Vec<u64>,
+}
+
+/// Which store entries are valid for the current program although their
+/// envelope carries an older program hash.
+///
+/// A session records every entry it accepts or publishes. At an epoch
+/// barrier, [`diff_and_adopt`] carries forward the previous ledger's
+/// entries whose partitions are all clean: by cluster independence a
+/// cluster's artifacts depend only on its partitions and their oracle
+/// closure, and a clean fingerprint pins those byte for byte. The store
+/// accepts an entry when its hash is the current program hash or the
+/// ledger maps its key to exactly that hash.
+///
+/// Cloning yields another handle on the same ledger.
+#[derive(Clone, Default)]
+pub struct AdoptionLedger {
+    entries: Arc<Mutex<FxHashMap<u64, LedgerEntry>>>,
+}
+
+impl AdoptionLedger {
+    /// Every entry, sorted by key.
+    pub fn entries(&self) -> Vec<LedgerEntry> {
+        let mut v: Vec<LedgerEntry> = self.entries.lock().values().cloned().collect();
+        v.sort_by_key(|e| e.key);
+        v
+    }
+
+    /// `true` when the ledger vouches for the entry at `key` written
+    /// under `program_hash`.
+    pub(crate) fn admits(&self, key: u64, program_hash: u64) -> bool {
+        self.entries
+            .lock()
+            .get(&key)
+            .is_some_and(|e| e.program_hash == program_hash)
+    }
+
+    /// Records an entry this session accepted or wrote, replacing any
+    /// older record of the same key.
+    pub(crate) fn record(&self, entry: LedgerEntry) {
+        self.entries.lock().insert(entry.key, entry);
+    }
+
+    /// Adds entries carried over from elsewhere (an earlier epoch or a
+    /// journal). A key this session already recorded keeps its record:
+    /// that one describes the file as this session left it.
+    pub(crate) fn carry(&self, entries: impl IntoIterator<Item = LedgerEntry>) {
+        let mut map = self.entries.lock();
+        for e in entries {
+            map.entry(e.key).or_insert(e);
+        }
+    }
+}
+
+impl PartialEq for AdoptionLedger {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries) || self.entries() == other.entries()
+    }
+}
+
+impl Eq for AdoptionLedger {}
+
+impl fmt::Debug for AdoptionLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "AdoptionLedger({} entries)", self.entries.lock().len())
+    }
 }
 
 /// What an epoch diff concluded: how much of the partition space (and of
@@ -72,7 +157,8 @@ pub struct DirtyReport {
     /// Clusters descending from a dirty partition (these recompute; the
     /// rest answer from resident engines or adopted store entries).
     pub dirty_clusters: usize,
-    /// `true` when an adoption grant was installed on the session's store.
+    /// `true` when the session has a store and some partition is clean,
+    /// so the previous ledger's clean entries were carried forward.
     pub adopted: bool,
 }
 
@@ -101,18 +187,18 @@ pub(crate) struct Unit {
 /// a later epoch with [`diff_and_adopt`].
 pub fn snapshot(session: &Session<'_>) -> PartitionSnapshot {
     PartitionSnapshot {
-        program_hash: session.program_content_hash(),
         fingerprints: session
             .units()
             .iter()
             .map(|(&id, u)| (id, u.fingerprint))
             .collect(),
+        ledger: session.ledger().clone(),
     }
 }
 
-/// Diffs `session`'s epoch against `prev`, arms the session's persistent
-/// store to adopt the previous epoch's entries for clusters proven clean,
-/// and reports the dirty footprint.
+/// Diffs `session`'s epoch against `prev`, carries the previous ledger's
+/// entries for clusters proven clean into the session's ledger, and
+/// reports the dirty footprint.
 ///
 /// Sound because a clean fingerprint pins the partition's members, its
 /// relevant slice, and every function body its walks can traverse — so
@@ -141,10 +227,10 @@ pub fn diff_and_adopt(prev: &PartitionSnapshot, session: &Session<'_>) -> DirtyR
         }
     }
 
-    let clean: HashSet<ClassId> = units
-        .iter()
-        .filter(|(id, _)| !dirty.contains(*id))
-        .map(|(_, u)| u.class)
+    let clean: HashSet<u64> = units
+        .keys()
+        .filter(|id| !dirty.contains(*id))
+        .copied()
         .collect();
     let dirty_classes: HashSet<ClassId> = units
         .iter()
@@ -171,7 +257,17 @@ pub fn diff_and_adopt(prev: &PartitionSnapshot, session: &Session<'_>) -> DirtyR
         })
         .count();
 
-    let adopted = !clean.is_empty() && session.adopt_previous_epoch(prev.program_hash, clean);
+    let adopted = !clean.is_empty() && session.cluster_store().is_some();
+    if adopted {
+        // Copy out first: `prev.ledger` may be this session's own ledger.
+        let carried: Vec<LedgerEntry> = prev
+            .ledger
+            .entries()
+            .into_iter()
+            .filter(|e| e.partitions.iter().all(|p| clean.contains(p)))
+            .collect();
+        session.ledger().carry(carried);
+    }
     DirtyReport {
         total_partitions,
         dirty_partitions,
@@ -210,8 +306,8 @@ pub(crate) fn build_units(session: &Session<'_>) -> Units {
         if members.is_empty() {
             continue;
         }
-        let id = canonical_id(program, &members);
-        let rel = relevant_statements_indexed(program, steens, session.relevant_index(), &members);
+        let id = session.partition_id(class);
+        let rel = relevant_statements_indexed(program, steens, session.relevant_index(), members);
 
         // Close the slice's function set upward over the call graph: the
         // climb visits callers, whose bodies feed the fingerprint.
@@ -265,11 +361,10 @@ pub(crate) fn build_units(session: &Session<'_>) -> Units {
         dep_classes.dedup();
         let mut deps = Vec::with_capacity(dep_classes.len());
         for dep in dep_classes {
-            let dep_members = unit_members(session, dep);
-            if dep_members.is_empty() {
+            if unit_members(session, dep).is_empty() {
                 continue;
             }
-            deps.push(canonical_id(program, &dep_members));
+            deps.push(session.partition_id(dep));
             if seen.insert(dep) {
                 queue.push_back((dep, true));
             }
@@ -306,15 +401,21 @@ pub(crate) fn body_hash(program: &Program, f: FuncId, lines: &[u64]) -> u64 {
 /// The member set a partition's tiers answer over: the alias partition's
 /// pointers when it has any, else the raw Steensgaard class (mirrors the
 /// session's tier-member fallback).
-fn unit_members(session: &Session<'_>, class: ClassId) -> Vec<VarId> {
+fn unit_members<'s>(session: &'s Session<'_>, class: ClassId) -> &'s [VarId] {
     let members = session.partition_members(class);
     if !members.is_empty() {
-        return members.to_vec();
+        return members;
     }
-    session.steens().members(class).to_vec()
+    session.steens().members(class)
 }
 
-/// Epoch-stable partition identity: hash of the sorted member names.
+/// Epoch-stable identity of `class`: hash of its sorted member names.
+/// Use the session's memo ([`Session::partition_id`]) instead of calling
+/// this.
+pub(crate) fn partition_id(session: &Session<'_>, class: ClassId) -> u64 {
+    canonical_id(session.program(), unit_members(session, class))
+}
+
 fn canonical_id(program: &Program, members: &[VarId]) -> u64 {
     let mut h = FxHasher64::default();
     let mut names: Vec<&str> = members.iter().map(|&m| program.var(m).name()).collect();
@@ -404,6 +505,102 @@ mod tests {
             "x's untouched network must stay clean ({report:?})"
         );
         assert!(report.dirty_clusters < report.total_clusters);
+    }
+
+    /// A loop whose second iteration makes `z` point to `a`; turning the
+    /// `while` into an `if` keeps every statement's text and removes only
+    /// the back edge, so `z` can no longer reach `&a`.
+    const LOOPED: &str = "int a; int c; int w; int *x; int *y; int *z;
+         void main() { y = NULL; while (c) { x = y; y = &a; } z = x; w = *z; }";
+
+    #[test]
+    fn loop_to_branch_edit_dirties_its_partition_and_answers_cold() {
+        let p1 = parse_program(LOOPED).unwrap();
+        let p2 = parse_program(&LOOPED.replace("while", "if")).unwrap();
+        let dir = std::env::temp_dir().join(format!("bsa-incr-loop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let with_store = || Config {
+            store: Some(bootstrap_store::StoreConfig::new(&dir)),
+            ..Config::default()
+        };
+        let z_at_exit = |s: &Session<'_>| {
+            let p = s.program();
+            let az = s.analyzer();
+            let answer = s.query_at_loc(&az, p.var_named("z").unwrap(), p.entry().unwrap().exit());
+            az.publish_store();
+            answer.sources
+        };
+
+        let s1 = Session::new(&p1, with_store());
+        let looped = z_at_exit(&s1);
+        let prev = snapshot(&s1);
+        drop(s1);
+        let s2 = Session::new(&p2, with_store());
+        let report = diff_and_adopt(&prev, &s2);
+        assert!(
+            report.dirty_partitions > 0,
+            "the removed back edge must dirty z's partition"
+        );
+        let warm = z_at_exit(&s2);
+        drop(s2);
+        let cold = z_at_exit(&Session::new(&p2, Config::default()));
+        assert_eq!(warm, cold);
+        assert_ne!(warm, looped, "the loop's extra source must be gone");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn diff_against_its_own_snapshot_keeps_the_ledger() {
+        // A session diffed against its own snapshot carries its ledger
+        // into itself: every entry is kept, nothing is duplicated.
+        let p = parse_program(TWO_NETWORKS).unwrap();
+        let dir = std::env::temp_dir().join(format!("bsa-incr-self-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = Config {
+            store: Some(bootstrap_store::StoreConfig::new(&dir)),
+            ..Config::default()
+        };
+        let s = Session::new(&p, config);
+        let az = s.analyzer();
+        let exit = p.entry().unwrap().exit();
+        for &v in s.pointers() {
+            let _ = s.query_at_loc(&az, v, exit);
+        }
+        az.publish_store();
+        let before = s.ledger().entries();
+        assert!(!before.is_empty(), "publishes must be recorded");
+        let report = diff_and_adopt(&snapshot(&s), &s);
+        assert!(report.adopted && report.dirty_partitions == 0);
+        assert_eq!(s.ledger().entries(), before);
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restored_ledger_needs_a_store_and_the_same_program() {
+        let p = parse_program(TWO_NETWORKS).unwrap();
+        let entry = LedgerEntry {
+            key: 7,
+            program_hash: 11,
+            partitions: vec![1],
+        };
+        let plain = Session::new(&p, Config::default());
+        plain.restore_ledger(plain.program_content_hash(), vec![entry.clone()]);
+        assert!(plain.ledger().entries().is_empty(), "no store, no ledger");
+
+        let dir = std::env::temp_dir().join(format!("bsa-incr-restore-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = Config {
+            store: Some(bootstrap_store::StoreConfig::new(&dir)),
+            ..Config::default()
+        };
+        let s = Session::new(&p, config);
+        s.restore_ledger(s.program_content_hash() ^ 1, vec![entry.clone()]);
+        assert!(s.ledger().entries().is_empty(), "another program's ledger");
+        s.restore_ledger(s.program_content_hash(), vec![entry.clone()]);
+        assert_eq!(s.ledger().entries(), vec![entry]);
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

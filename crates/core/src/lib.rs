@@ -65,7 +65,9 @@ pub use degrade::{
 };
 pub use engine::{ClusterEngine, EngineCx, EngineOptions, NoOracle, PtsOracle};
 pub use fsci_cache::FsciCacheStats;
-pub use incremental::{diff_and_adopt, snapshot, DirtyReport, PartitionSnapshot};
+pub use incremental::{
+    diff_and_adopt, snapshot, AdoptionLedger, DirtyReport, LedgerEntry, PartitionSnapshot,
+};
 pub use intern::{ArenaFull, CondId, DeadId, Interner, InternerStats};
 pub use parallel::ClusterReport;
 pub use profile::{Phase, PhaseSnapshot, PhaseStats};

@@ -8,10 +8,11 @@
 //! * **Key** — fxhash of (format version, result-affecting options, the
 //!   cluster's sorted member names, the sorted hashes of its
 //!   relevant-statement slice, each the hash of the statement's
-//!   `func@index: text` rendering). Content-addressed: editing any
-//!   relevant statement moves the key, so stale entries are simply never
-//!   found. Statement hashes come from a per-session table, and each
-//!   member set's key is derived once per session.
+//!   `func@index: text`, its successor list and its branch variable).
+//!   Content-addressed: editing any relevant statement or control-flow
+//!   edge moves the key, so stale entries are simply never found.
+//!   Statement hashes come from a per-session table, and each member
+//!   set's key is derived once per session.
 //! * **Payload** — name tables (IR variable and function names are
 //!   globally unique mangled strings, e.g. `func::name`, `heap@func:3`,
 //!   `&func`, so a name is a position-independent reference) followed by
@@ -21,8 +22,10 @@
 //! * **Gate** — summaries consult the cross-partition FSCI oracle during
 //!   their fixpoint, so the payload is only valid for the exact program
 //!   it was computed from. Loads are gated on the whole-program hash
-//!   recorded in the envelope; per-cluster keys still give eviction and
-//!   corruption isolation at cluster granularity.
+//!   recorded in the envelope, unless the session's adoption ledger
+//!   ([`crate::incremental::AdoptionLedger`]) vouches for the entry's
+//!   hash; per-cluster keys still give eviction and corruption isolation
+//!   at cluster granularity.
 //!
 //! Every failure past the envelope (program-hash mismatch, undecodable
 //! payload, a name that no longer resolves) demotes the hit to an
@@ -41,6 +44,7 @@ use parking_lot::RwLock;
 use crate::constraint::{Atom, Cond};
 use crate::degrade::FaultPhase;
 use crate::engine::ClusterEngine;
+use crate::incremental::LedgerEntry;
 use crate::session::{Config, QueryRecord, Session};
 use crate::summary::{Source, SummaryKey, Value};
 
@@ -61,21 +65,6 @@ pub(crate) struct ClusterStore {
     /// corrupt without reading it, forcing the recompute-and-overwrite
     /// path the fuzz matrix checks.
     faulted: bool,
-    /// Cross-epoch adoption: when the incremental differ proves a set of
-    /// alias partitions unchanged between the previous program epoch and
-    /// this one, entries recorded under the previous whole-program hash
-    /// are accepted for clusters wholly inside that clean set.
-    adoption: RwLock<Option<Adoption>>,
-}
-
-/// Proof, from the incremental partition differ, that entries written
-/// under `prev_program_hash` are still valid for clusters whose members
-/// all live in `clean` partitions (cluster independence: a cluster's
-/// summaries only consult facts inside its own relevant slice, and a
-/// clean fingerprint pins that slice byte-for-byte).
-pub(crate) struct Adoption {
-    pub(crate) prev_program_hash: u64,
-    pub(crate) clean: HashSet<bootstrap_analyses::ClassId>,
 }
 
 impl ClusterStore {
@@ -95,14 +84,7 @@ impl ClusterStore {
             keys: RwLock::new(HashMap::new()),
             hit_keys: RwLock::new(HashSet::new()),
             faulted,
-            adoption: RwLock::new(None),
         })
-    }
-
-    /// Arms cross-epoch adoption (see [`Adoption`]). Replaces any earlier
-    /// grant: each edit epoch re-derives its clean set from scratch.
-    pub(crate) fn adopt(&self, adoption: Adoption) {
-        *self.adoption.write() = Some(adoption);
     }
 
     /// This opening's hit/miss/invalidated counters.
@@ -174,19 +156,15 @@ impl ClusterStore {
             } => (payload, program_hash),
             LoadOutcome::Miss | LoadOutcome::Invalidated => return,
         };
-        let mut adopted = false;
-        let program_hash = session.program_content_hash();
-        if entry_program_hash != program_hash {
-            // A content-equal slice from a different program: the
-            // summaries may have consulted FSCI facts that no longer
-            // hold — unless the incremental differ proved every partition
-            // this cluster touches unchanged since that exact epoch.
-            if self.may_adopt(session, engine, entry_program_hash) {
-                adopted = true;
-            } else {
-                self.store.demote_hit();
-                return;
-            }
+        // A content-equal slice from a different program: the summaries
+        // may have consulted FSCI facts that no longer hold — unless the
+        // ledger records that every partition this cluster spans stayed
+        // clean since the epoch that wrote the entry.
+        if entry_program_hash != session.program_content_hash()
+            && !session.ledger().admits(key, entry_program_hash)
+        {
+            self.store.demote_hit();
+            return;
         }
         let Some(entry) = decode_payload(&payload, program) else {
             self.store.demote_hit();
@@ -207,36 +185,8 @@ impl ClusterStore {
         for ((v, loc), pts) in entry.fsci {
             session.fsci_cache().insert(v, loc, pts.map(Arc::new));
         }
-        if adopted {
-            // Re-home the entry under the current epoch's program hash so
-            // the next epoch can chain its own adoption from this one.
-            let _ = self
-                .store
-                .save(key, self.options_hash, program_hash, &payload);
-        }
+        record(session, engine, key, entry_program_hash);
         self.hit_keys.write().insert(key);
-    }
-
-    /// `true` when an adoption grant covers this engine: the entry was
-    /// written at exactly the granted previous epoch and every member's
-    /// alias partition is in the proven-clean set.
-    fn may_adopt(
-        &self,
-        session: &Session<'_>,
-        engine: &ClusterEngine,
-        entry_program_hash: u64,
-    ) -> bool {
-        let adoption = self.adoption.read();
-        let Some(a) = adoption.as_ref() else {
-            return false;
-        };
-        if entry_program_hash != a.prev_program_hash {
-            return false;
-        }
-        engine
-            .members()
-            .iter()
-            .all(|&m| a.clean.contains(&session.steens().partition_key(m)))
     }
 
     /// Publishes one clean engine's artifacts (summaries, recorded query
@@ -253,13 +203,25 @@ impl ClusterStore {
         let Some(payload) = encode_payload(session, engine) else {
             return;
         };
-        let _ = self.store.save(
-            key,
-            self.options_hash,
-            session.program_content_hash(),
-            &payload,
-        );
+        let program_hash = session.program_content_hash();
+        if self
+            .store
+            .save(key, self.options_hash, program_hash, &payload)
+            .is_ok()
+        {
+            record(session, engine, key, program_hash);
+        }
     }
+}
+
+/// Notes in the session's ledger that the entry at `key`, carrying
+/// `program_hash`, is valid for this epoch.
+fn record(session: &Session<'_>, engine: &ClusterEngine, key: u64, program_hash: u64) {
+    session.ledger().record(LedgerEntry {
+        key,
+        program_hash,
+        partitions: session.partition_ids_of(engine.members()),
+    });
 }
 
 fn hash_str(h: &mut FxHasher64, s: &str) {
@@ -283,16 +245,31 @@ fn options_hash(config: &Config) -> u64 {
     h.finish()
 }
 
-/// Whole-program hash: fxhash of the program's canonical rendering.
-pub(crate) fn program_hash(program: &Program) -> u64 {
+/// Whole-program hash, from the session's statement-hash table: per
+/// function in id order, its name, its parameter names and its body hash
+/// (which covers every statement's text and successors). Together these
+/// determine the program's canonical rendering (`Program`'s `Display`),
+/// so two programs that render differently hash differently.
+pub(crate) fn program_hash(session: &Session<'_>) -> u64 {
+    let program = session.program();
     let mut h = FxHasher64::default();
-    hash_str(&mut h, &program.to_string());
+    h.write_u64(program.func_count() as u64);
+    for func in program.functions() {
+        hash_str(&mut h, func.name());
+        h.write_u64(func.params().len() as u64);
+        for &p in func.params() {
+            hash_str(&mut h, program.var(p).name());
+        }
+        h.write_u64(session.body_hash(func.id()));
+    }
     h.finish()
 }
 
 /// One hash per statement of `f`, indexed by statement: the fxhash of
-/// its `func@index: text` rendering. Store keys and partition
-/// fingerprints are built from these instead of re-rendering text.
+/// its `func@index: text` rendering, its successor list and the variable
+/// it branches on (path-sensitive mode reads it). Store keys, body
+/// hashes, partition fingerprints and the program hash are built from
+/// these instead of re-rendering text.
 pub(crate) fn line_hashes(program: &Program, f: FuncId) -> Box<[u64]> {
     let func = program.func(f);
     func.locs()
@@ -301,6 +278,18 @@ pub(crate) fn line_hashes(program: &Program, f: FuncId) -> Box<[u64]> {
             hash_str(&mut h, func.name());
             h.write_u64(u64::from(loc.stmt));
             hash_str(&mut h, &stmt_to_string(program, stmt));
+            let succs = func.succs(loc.stmt);
+            h.write_u64(succs.len() as u64);
+            for &s in succs {
+                h.write_u64(u64::from(s));
+            }
+            match func.branch_cond(loc.stmt) {
+                Some(v) => {
+                    h.write_u8(1);
+                    hash_str(&mut h, program.var(v).name());
+                }
+                None => h.write_u8(0),
+            }
             h.finish()
         })
         .collect()
@@ -419,27 +408,25 @@ impl<'p> Names<'p> {
 /// names on the fly, in record order, so the table is deterministic) and
 /// appended after the finished tables, keeping decode single-pass.
 fn encode_payload(session: &Session<'_>, engine: &ClusterEngine) -> Option<Vec<u8>> {
-    let program = session.program();
+    encode_records(
+        session.program(),
+        &engine.summary_snapshot(),
+        &session.pending_queries_of(engine.members()),
+        &session.fsci_cache().entries_of(engine.relevant().vars()),
+    )
+}
+
+/// Encodes one cluster's gathered records (see [`encode_payload`]).
+fn encode_records(
+    program: &Program,
+    summaries: &[(SummaryKey, Vec<(Value, Cond)>)],
+    queries: &[QueryRecord],
+    fsci: &[FsciRecord],
+) -> Option<Vec<u8>> {
     let mut names = Names::new(program);
-
-    let summaries = engine.summary_snapshot();
-    let members: HashSet<VarId> = engine.members().iter().copied().collect();
-    let queries: Vec<QueryRecord> = session
-        .pending_queries_snapshot()
-        .into_iter()
-        .filter(|((v, _), _)| members.contains(v))
-        .collect();
-    let slice_vars: HashSet<VarId> = engine.relevant().vars().collect();
-    let fsci: Vec<FsciRecord> = session
-        .fsci_cache()
-        .snapshot()
-        .into_iter()
-        .filter(|((v, _), _)| slice_vars.contains(v))
-        .collect();
-
     let mut body = Writer::new();
     body.u32(summaries.len() as u32);
-    for ((f, target), tuples) in &summaries {
+    for ((f, target), tuples) in summaries {
         body.u32(names.func(*f)?);
         body.u32(names.var(*target)?);
         body.u32(tuples.len() as u32);
@@ -459,7 +446,7 @@ fn encode_payload(session: &Session<'_>, engine: &ClusterEngine) -> Option<Vec<u
         }
     }
     body.u32(queries.len() as u32);
-    for ((v, loc), sources) in &queries {
+    for ((v, loc), sources) in queries {
         body.u32(names.var(*v)?);
         names.loc(&mut body, *loc)?;
         body.u32(sources.len() as u32);
@@ -479,7 +466,7 @@ fn encode_payload(session: &Session<'_>, engine: &ClusterEngine) -> Option<Vec<u
         }
     }
     body.u32(fsci.len() as u32);
-    for ((v, loc), pts) in &fsci {
+    for ((v, loc), pts) in fsci {
         body.u32(names.var(*v)?);
         names.loc(&mut body, *loc)?;
         match pts {
@@ -651,6 +638,7 @@ mod tests {
     use super::*;
     use crate::session::Config;
     use bootstrap_ir::parse_program;
+    use bootstrap_store::StoreConfig;
 
     fn program() -> Program {
         parse_program(
@@ -659,6 +647,10 @@ mod tests {
              void main() { x = id(&a); y = id(&b); }",
         )
         .unwrap()
+    }
+
+    fn hash_of(p: &Program) -> u64 {
+        Session::new(p, Config::default()).program_content_hash()
     }
 
     #[test]
@@ -672,8 +664,117 @@ mod tests {
         assert_ne!(options_hash(&c1), options_hash(&c2));
         assert_eq!(options_hash(&c1), options_hash(&c1.clone()));
         let p2 = parse_program("int a; int *x; void main() { x = &a; }").unwrap();
-        assert_ne!(program_hash(&p), program_hash(&p2));
-        assert_eq!(program_hash(&p), program_hash(&p));
+        assert_ne!(hash_of(&p), hash_of(&p2));
+        assert_eq!(hash_of(&p), hash_of(&program()));
+    }
+
+    #[test]
+    fn line_and_program_hashes_see_control_flow_edges() {
+        // Same statements, same text per line: only the edges differ.
+        let looped = parse_program(
+            "int a; int c; int *x; int *y;
+             void main() { while (c) { x = &a; } y = x; }",
+        )
+        .unwrap();
+        let branched = parse_program(
+            "int a; int c; int *x; int *y;
+             void main() { if (c) { x = &a; } y = x; }",
+        )
+        .unwrap();
+        let main = |p: &Program| p.func_named("main").unwrap();
+        let texts = |p: &Program| {
+            p.func(main(p))
+                .body()
+                .iter()
+                .map(|s| stmt_to_string(p, s))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(texts(&looped), texts(&branched));
+        assert_ne!(
+            line_hashes(&looped, main(&looped)),
+            line_hashes(&branched, main(&branched))
+        );
+        assert_ne!(hash_of(&looped), hash_of(&branched));
+    }
+
+    /// The programs of `tests/warmstore.rs`: pointer chains through an
+    /// identity function and a global setter, and sibling struct fields.
+    fn warmstore_programs() -> Vec<Program> {
+        let mut chain = String::from("int *g; int **zz;\nint *id(int *q) { return q; }\n");
+        chain.push_str("void set(int *v) { g = v; zz = &g; *zz = v; }\n");
+        for i in 0..10 {
+            chain.push_str(&format!("int a{i}; int *p{i};\n"));
+        }
+        chain.push_str("void main() {\n");
+        for i in 0..10 {
+            chain.push_str(&format!("p{i} = id(&a{i});\nset(p{i});\n"));
+        }
+        chain.push_str("}\n");
+        let fields = "struct pair { int *fst; int *snd; };
+            struct pair g; struct pair h;
+            int a; int b; int c; int d;
+            int *pa; int *pb;
+            int buf[4]; int *pe;
+            void main() {
+                g.fst = &a; g.snd = &b;
+                h.fst = &c; h.snd = &d;
+                pa = g.fst; pb = g.snd;
+                pe = buf;
+                *pe = 0;
+            }";
+        vec![
+            parse_program(&chain).unwrap(),
+            parse_program(fields).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn payload_bytes_match_the_full_table_scan() {
+        for (i, p) in warmstore_programs().iter().enumerate() {
+            let dir =
+                std::env::temp_dir().join(format!("bsa-persist-scan-{}-{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = Config {
+                store: Some(StoreConfig::new(&dir)),
+                ..Config::default()
+            };
+            let session = Session::new(p, config);
+            let az = session.analyzer();
+            let exit = p.entry().unwrap().exit();
+            for &v in session.pointers() {
+                let _ = session.query_at_loc(&az, v, exit);
+            }
+            let mut encoded = 0;
+            for (class, _) in session.steens().alias_partitions(p) {
+                let engine_rc = az.engine_for(class);
+                let engine = engine_rc.borrow();
+                // The scan every publish used to make: the whole tables,
+                // filtered down to this cluster.
+                let members: HashSet<VarId> = engine.members().iter().copied().collect();
+                let queries: Vec<QueryRecord> = session
+                    .pending_queries_all()
+                    .into_iter()
+                    .filter(|((v, _), _)| members.contains(v))
+                    .collect();
+                let slice: HashSet<VarId> = engine.relevant().vars().collect();
+                let fsci: Vec<FsciRecord> = session
+                    .fsci_cache()
+                    .snapshot()
+                    .into_iter()
+                    .filter(|((v, _), _)| slice.contains(v))
+                    .collect();
+                let scanned =
+                    encode_records(p, &engine.summary_snapshot(), &queries, &fsci).unwrap();
+                assert_eq!(encode_payload(&session, &engine).unwrap(), scanned);
+                encoded += usize::from(!queries.is_empty() && !fsci.is_empty());
+            }
+            assert!(
+                encoded > 0,
+                "program {i}: no payload carried queries and FSCI facts"
+            );
+            drop(session);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! The session itself is immutable and `Sync`; per-thread analyzers carry
 //! the caches.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -33,7 +33,7 @@ use crate::degrade::{
 };
 use crate::engine::EngineCx;
 use crate::fsci_cache::{FsciCacheStats, SharedFsciCache};
-use crate::incremental::Units;
+use crate::incremental::{AdoptionLedger, LedgerEntry, Units};
 use crate::intern::{Interner, InternerStats};
 use crate::persist::ClusterStore;
 use crate::profile::{Phase, PhaseProfile, PhaseSnapshot};
@@ -224,8 +224,9 @@ pub struct Session<'p> {
     /// Full-precision FSCS answers installed from a store hit:
     /// [`Session::query_at_loc`] returns these without walking.
     warm_queries: RwLock<HashMap<(VarId, Loc), Arc<QuerySources>>>,
-    /// Cold full-precision answers recorded for the next publish.
-    pending_queries: RwLock<HashMap<(VarId, Loc), QuerySources>>,
+    /// Cold full-precision answers recorded for the next publish, by
+    /// pointer, so a publish reads only its own cluster's members.
+    pending_queries: RwLock<HashMap<VarId, BTreeMap<Loc, QuerySources>>>,
     /// Memo of [`crate::persist::line_hashes`] per function: every
     /// statement is rendered once per session, however many store keys
     /// and partition fingerprints include it.
@@ -234,6 +235,10 @@ pub struct Session<'p> {
     body_hashes: Vec<OnceLock<u64>>,
     /// Memo of [`Session::program_content_hash`].
     program_hash: OnceLock<u64>,
+    /// Memo of [`Session::partition_id`].
+    partition_ids: RwLock<HashMap<bootstrap_analyses::ClassId, u64>>,
+    /// Store entries this epoch accepts or wrote (see [`AdoptionLedger`]).
+    ledger: AdoptionLedger,
     /// Memo of the incremental tracking units, shared by
     /// [`crate::incremental::diff_and_adopt`] and
     /// [`crate::incremental::snapshot`].
@@ -290,13 +295,7 @@ impl<'p> Session<'p> {
             .store
             .clone()
             .and_then(|sc| ClusterStore::open(sc, &config));
-        // Every store consult and publish is gated on the program hash,
-        // so a session with a store computes it up front.
-        let program_hash = OnceLock::new();
-        if store.is_some() {
-            program_hash.get_or_init(|| crate::persist::program_hash(program));
-        }
-        Self {
+        let session = Self {
             program,
             config,
             steens,
@@ -320,9 +319,17 @@ impl<'p> Session<'p> {
             pending_queries: RwLock::new(HashMap::new()),
             line_hashes: (0..program.func_count()).map(|_| OnceLock::new()).collect(),
             body_hashes: (0..program.func_count()).map(|_| OnceLock::new()).collect(),
-            program_hash,
+            program_hash: OnceLock::new(),
+            partition_ids: RwLock::new(HashMap::new()),
+            ledger: AdoptionLedger::default(),
             units: OnceLock::new(),
+        };
+        // Every store consult and publish is gated on the program hash,
+        // so a session with a store computes it up front.
+        if session.store.is_some() {
+            session.program_content_hash();
         }
+        session
     }
 
     /// The program under analysis.
@@ -581,11 +588,12 @@ impl<'p> Session<'p> {
     }
 
     /// Whole-program content hash — the persistent store's cross-run
-    /// validity gate. Stable across sessions over identical program text.
+    /// validity gate. Stable across sessions over identical program text
+    /// (see [`crate::persist::program_hash`]).
     pub fn program_content_hash(&self) -> u64 {
         *self
             .program_hash
-            .get_or_init(|| crate::persist::program_hash(self.program))
+            .get_or_init(|| crate::persist::program_hash(self))
     }
 
     /// Per-statement hashes of `f`'s body, indexed by statement (see
@@ -607,26 +615,44 @@ impl<'p> Session<'p> {
             .get_or_init(|| crate::incremental::build_units(self))
     }
 
-    /// Arms cross-epoch store adoption: persisted entries recorded under
-    /// `prev_program_hash` are accepted for clusters whose members all
-    /// lie in `clean` alias partitions (as proven by
-    /// [`crate::incremental::diff_and_adopt`]), instead of being
-    /// invalidated by the whole-program-hash gate. Returns `false` (and
-    /// does nothing) when no store is configured.
-    pub fn adopt_previous_epoch(
-        &self,
-        prev_program_hash: u64,
-        clean: HashSet<bootstrap_analyses::ClassId>,
-    ) -> bool {
-        match &self.store {
-            Some(s) => {
-                s.adopt(crate::persist::Adoption {
-                    prev_program_hash,
-                    clean,
-                });
-                true
-            }
-            None => false,
+    /// Epoch-stable identity of the partition `class` (hash of its sorted
+    /// member names); computed once per class per session.
+    pub(crate) fn partition_id(&self, class: bootstrap_analyses::ClassId) -> u64 {
+        if let Some(&id) = self.partition_ids.read().get(&class) {
+            return id;
+        }
+        let id = crate::incremental::partition_id(self, class);
+        self.partition_ids.write().insert(class, id);
+        id
+    }
+
+    /// Sorted canonical ids of the partitions `members` belong to.
+    pub(crate) fn partition_ids_of(&self, members: &[VarId]) -> Vec<u64> {
+        let mut classes: Vec<_> = members
+            .iter()
+            .map(|&m| self.steens.partition_key(m))
+            .collect();
+        classes.sort_unstable();
+        classes.dedup();
+        let mut ids: Vec<u64> = classes.into_iter().map(|c| self.partition_id(c)).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// This epoch's adoption ledger. [`crate::incremental::snapshot`]
+    /// hands a clone of this handle to the next epoch.
+    pub fn ledger(&self) -> &AdoptionLedger {
+        &self.ledger
+    }
+
+    /// Installs ledger entries saved from an earlier session over the
+    /// same program, such as a daemon's journal after a restart. Does
+    /// nothing when no store is configured or `program_hash` is not this
+    /// session's program hash.
+    pub fn restore_ledger(&self, program_hash: u64, entries: Vec<LedgerEntry>) {
+        if self.store.is_some() && program_hash == self.program_content_hash() {
+            self.ledger.carry(entries);
         }
     }
 
@@ -662,19 +688,37 @@ impl<'p> Session<'p> {
         }
         self.pending_queries
             .write()
-            .insert((p, loc), sources.to_vec());
+            .entry(p)
+            .or_default()
+            .insert(loc, sources.to_vec());
     }
 
-    /// A sorted snapshot of the recorded cold answers (publish path).
-    pub(crate) fn pending_queries_snapshot(&self) -> Vec<QueryRecord> {
-        let mut v: Vec<_> = self
+    /// The recorded cold answers for `members`, sorted by pointer and
+    /// location (publish path).
+    pub(crate) fn pending_queries_of(&self, members: &[VarId]) -> Vec<QueryRecord> {
+        let mut members = members.to_vec();
+        members.sort_unstable();
+        members.dedup();
+        let pending = self.pending_queries.read();
+        members
+            .iter()
+            .filter_map(|v| pending.get(v).map(|by_loc| (v, by_loc)))
+            .flat_map(|(&v, by_loc)| by_loc.iter().map(move |(&loc, s)| ((v, loc), s.clone())))
+            .collect()
+    }
+
+    /// Every recorded cold answer, sorted: the oracle for
+    /// [`Session::pending_queries_of`].
+    #[cfg(test)]
+    pub(crate) fn pending_queries_all(&self) -> Vec<QueryRecord> {
+        let mut all: Vec<QueryRecord> = self
             .pending_queries
             .read()
             .iter()
-            .map(|(k, s)| (*k, s.clone()))
+            .flat_map(|(&v, by_loc)| by_loc.iter().map(move |(&loc, s)| ((v, loc), s.clone())))
             .collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
+        all.sort_by_key(|(k, _)| *k);
+        all
     }
 
     /// Hit/miss/entry counters of the shared FSCI points-to cache.

@@ -255,3 +255,75 @@ proptest! {
         prop_assert_eq!(interned_sources, oracle_sources, "local sources diverge");
     }
 }
+
+/// Mini-C source over four pointers and two objects: each op is one
+/// assignment, bare or wrapped in an `if` or a `while`, in `main` or in
+/// a one-parameter helper whose parameter name the op can change.
+fn control_flow_source(ops: &[(u8, u8, u8)]) -> String {
+    let mut helper = String::new();
+    let mut main = String::new();
+    let mut param = "r";
+    for &(kind, x, y) in ops {
+        let p = format!("p{}", x % 4);
+        let stmt = match kind % 3 {
+            0 => format!("{p} = &o{};", y % 2),
+            1 => format!("{p} = p{};", y % 4),
+            _ => format!("{p} = NULL;"),
+        };
+        let wrapped = match (kind / 3) % 3 {
+            0 => stmt,
+            1 => format!("if (c) {{ {stmt} }}"),
+            _ => format!("while (c) {{ {stmt} }}"),
+        };
+        if y % 5 == 4 {
+            param = if param == "r" { "s" } else { "r" };
+            helper.push_str(&format!("p0 = {param}; "));
+        } else if kind >= 9 {
+            helper.push_str(&wrapped);
+        } else {
+            main.push_str(&wrapped);
+        }
+    }
+    format!(
+        "int o0; int o1; int c; int *p0; int *p1; int *p2; int *p3;\n\
+         void helper(int *{param}) {{ {helper} }}\n\
+         void main() {{ helper(p1); {main} }}\n"
+    )
+}
+
+fn content_hash(src: &str) -> (String, u64) {
+    let program = bootstrap_ir::parse_program(src).unwrap();
+    let hash = Session::new(&program, Config::default()).program_content_hash();
+    (program.to_string(), hash)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The program hash, derived from per-statement hashes, separates
+    /// exactly what the canonical rendering separates: different text
+    /// means a different hash, and the same text the same hash.
+    #[test]
+    fn program_hash_tracks_the_rendering(
+        a in prop::collection::vec((0u8..18, 0u8..4, 0u8..5), 0..8),
+        b in prop::collection::vec((0u8..18, 0u8..4, 0u8..5), 0..8),
+        flip in 0usize..8,
+    ) {
+        // A sibling of `a` with one wrapper turned between `if` and
+        // `while`: same statement texts, different edges.
+        let mut c = a.clone();
+        if let Some(op) = c.get_mut(flip) {
+            match (op.0 / 3) % 3 {
+                1 => op.0 += 3,
+                2 => op.0 -= 3,
+                _ => {}
+            }
+        }
+        let (text_a, hash_a) = content_hash(&control_flow_source(&a));
+        prop_assert_eq!(content_hash(&control_flow_source(&a)), (text_a.clone(), hash_a));
+        for other in [&b, &c] {
+            let (text, hash) = content_hash(&control_flow_source(other));
+            prop_assert_eq!(text == text_a, hash == hash_a, "{}\n---\n{}", text_a, text);
+        }
+    }
+}

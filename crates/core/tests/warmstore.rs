@@ -406,3 +406,104 @@ fn findings_stay_identical_when_program_actually_changes() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Three file-local pointer networks, each behind its own entry point;
+/// `edited` names the networks rerouted through a second object.
+fn networks(edited: &[&str]) -> String {
+    let mut src = String::new();
+    for n in ["a", "b", "c"] {
+        let body = if edited.contains(&n) {
+            format!("{n}q = &{n}b; {n}p = {n}id({n}q);")
+        } else {
+            format!("{n}p = {n}id(&{n}a);")
+        };
+        src.push_str(&format!(
+            "int {n}a; int {n}b; int *{n}p; int *{n}q;\n\
+             int *{n}id(int *{n}r) {{ return {n}r; }}\n\
+             void {n}ent() {{ {body} }}\n"
+        ));
+    }
+    src.push_str("void main() { aent(); bent(); cent(); }\n");
+    src
+}
+
+/// Every store entry file in `dir` with its bytes.
+fn entry_files(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "bsa"))
+        .map(|p| {
+            let bytes = fs::read(&p).unwrap();
+            (p, bytes)
+        })
+        .collect()
+}
+
+/// The program hash an entry's envelope carries (magic, format version,
+/// key, options hash, program hash).
+fn envelope_program_hash(bytes: &[u8]) -> u64 {
+    let mut r = bootstrap_store::codec::Reader::new(bytes);
+    r.bytes().unwrap();
+    r.u32().unwrap();
+    r.u64().unwrap();
+    r.u64().unwrap();
+    r.u64().unwrap()
+}
+
+#[test]
+fn ledger_adopts_clean_clusters_across_an_unchecked_epoch() {
+    use bootstrap_core::{diff_and_adopt, snapshot};
+    let p1 = parse_program(&networks(&[])).unwrap();
+    let p2 = parse_program(&networks(&["a"])).unwrap();
+    let p3 = parse_program(&networks(&["a", "b"])).unwrap();
+    let dir = temp_dir("ledger");
+
+    // Epoch 1: checked, every cluster is written under its hash.
+    let s1 = Session::new(&p1, config_with_store(&dir));
+    let h1 = s1.program_content_hash();
+    let _ = query_all(&s1);
+    let snap1 = snapshot(&s1);
+    drop(s1);
+    let written = entry_files(&dir);
+    assert!(!written.is_empty());
+
+    // Epoch 2: `a` edited, nothing checked.
+    let s2 = Session::new(&p2, config_with_store(&dir));
+    assert!(diff_and_adopt(&snap1, &s2).adopted);
+    let snap2 = snapshot(&s2);
+    drop(s2);
+
+    // Epoch 3: `b` edited, checked. `c` stayed clean through both edits.
+    let s3 = Session::new(&p3, config_with_store(&dir));
+    let report = diff_and_adopt(&snap2, &s3);
+    assert!(report.dirty_partitions > 0 && report.dirty_partitions < report.total_partitions);
+    let warm = query_all(&s3);
+    let counters = s3.store_counters();
+    assert!(counters.hits > 0, "clean clusters must hit: {counters:?}");
+    assert_eq!(counters.invalidated, 0, "{counters:?}");
+
+    // The clean clusters' entries were accepted under epoch 1's hash and
+    // not rewritten: their files are byte-identical to epoch 1's.
+    let adopted: Vec<_> = s3
+        .ledger()
+        .entries()
+        .into_iter()
+        .filter(|e| e.program_hash != s3.program_content_hash())
+        .collect();
+    assert!(!adopted.is_empty(), "no entry was adopted");
+    let now = entry_files(&dir);
+    for e in &adopted {
+        assert_eq!(e.program_hash, h1);
+        let path = dir.join(format!("{:016x}.bsa", e.key));
+        assert_eq!(envelope_program_hash(&now[&path]), h1);
+        assert_eq!(now[&path], written[&path], "adopted entry was rewritten");
+    }
+    drop(s3);
+
+    // And the answers equal a cold, store-less run of epoch 3.
+    let cold = query_all(&Session::new(&p3, Config::default()));
+    assert_same_answers(&cold, &warm);
+    let _ = fs::remove_dir_all(&dir);
+}

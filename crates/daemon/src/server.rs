@@ -7,8 +7,9 @@
 //! concurrently; an accepted `edit` ends the epoch, the workers drain,
 //! the epoch thread lowers the edited workspace (once), the workspace
 //! advances, and the next epoch's session is rebuilt with the
-//! incremental machinery ([`diff_and_adopt`]) arming the persistent
-//! store to adopt every cluster the edit provably did not touch.
+//! incremental machinery ([`diff_and_adopt`]) carrying the adoption
+//! ledger forward, so the persistent store accepts, without rewriting,
+//! every entry of a cluster the edit provably did not touch.
 //!
 //! Robustness layers, in request order:
 //!
@@ -25,10 +26,11 @@
 //!   panicked batch is retried once on a fresh analyzer with a doubled
 //!   interning arena (the parallel driver's cluster-retry idiom), and a
 //!   second failure becomes a structured `internal-panic` error.
-//! * **Recovery** — every epoch is journaled (temp + rename +
-//!   checksum); after SIGKILL a restart replays the journal and the
-//!   store warm-starts the session to the same findings a cold run of
-//!   that workspace produces.
+//! * **Recovery** — every epoch's files and adoption ledger are
+//!   journaled (temp + rename + checksum) before its edit is
+//!   acknowledged; after SIGKILL a restart replays the journal, restores
+//!   the ledger, and the store warm-starts the session to the same
+//!   findings a cold run of that workspace produces.
 //!
 //! [`FaultPhase::Serve`] plans inject daemon-level faults for the chaos
 //! soak: `panic` drops the connection without answering at the chosen
@@ -50,7 +52,7 @@ use bootstrap_checks::{render_text, run_checks_with, CheckerKind};
 use bootstrap_client::{decode_request, hex_u64, DirtySummary, Json, Request, Response, MAX_FRAME};
 use bootstrap_core::{
     diff_and_adopt, snapshot, Config, DegradeReason, DirtyReport, FaultKind, FaultPhase, FaultPlan,
-    Interner, PartitionSnapshot, QueryLimits, Session, StoreConfig,
+    Interner, LedgerEntry, PartitionSnapshot, QueryLimits, Session, StoreConfig,
 };
 use bootstrap_ir::{Loc, Program};
 
@@ -205,6 +207,10 @@ impl EpochShared {
     }
 }
 
+/// A journaled ledger waiting for the first session after a restart: the
+/// program hash it is valid for, and its entries.
+type RestoredLedger = (u64, Vec<LedgerEntry>);
+
 /// Immutable per-epoch context handed to every worker.
 struct EpochCx<'a, 'p> {
     session: &'a Session<'p>,
@@ -238,11 +244,15 @@ impl Daemon {
         // Crash recovery: replay the last durable epoch, if any. A
         // corrupt journal is logged and demoted to the seed workspace.
         let mut recovered = None;
+        let mut restored: Option<RestoredLedger> = None;
         if let Some(jp) = self.journal_path() {
             match journal::load(&jp) {
                 Ok(Some(state)) => {
                     match build(&state.files).and_then(|ws| ws.lower().map(|p| (ws, p))) {
-                        Ok((ws, program)) => recovered = Some((ws, program, state.epoch)),
+                        Ok((ws, program)) => {
+                            recovered = Some((ws, program, state.epoch));
+                            restored = Some((state.program_hash, state.ledger));
+                        }
                         Err(e) => eprintln!(
                             "bootstrap-daemon: journaled workspace no longer builds ({e}); \
                              starting from seed"
@@ -262,13 +272,6 @@ impl Daemon {
                 (seed, program, 0)
             }
         };
-        if let Some(jp) = self.journal_path() {
-            // Make the starting epoch durable immediately so a kill
-            // before the first edit still recovers to it.
-            if let Err(e) = journal::save(&jp, epoch, &workspace.sources()) {
-                eprintln!("bootstrap-daemon: journal write failed: {e}");
-            }
-        }
 
         let listener = bind_listening(&self.opts.socket)?;
         listener.set_nonblocking(true)?;
@@ -283,6 +286,7 @@ impl Daemon {
                 &workspace,
                 epoch,
                 &mut prev_snapshot,
+                restored.take(),
                 pending_reply.take(),
                 &mut last_dirty,
             );
@@ -299,12 +303,6 @@ impl Daemon {
                     workspace = next;
                     program = lowered;
                     epoch += 1;
-                    if let Some(jp) = self.journal_path() {
-                        if let Err(e) = journal::save(&jp, epoch, &workspace.sources()) {
-                            eprintln!("bootstrap-daemon: journal write failed: {e}");
-                        }
-                        self.maybe_corrupt_journal(&jp);
-                    }
                     pending_reply = Some(reply);
                 }
             }
@@ -333,6 +331,7 @@ impl Daemon {
         workspace: &Workspace,
         epoch: u64,
         prev_snapshot: &mut Option<PartitionSnapshot>,
+        restored: Option<RestoredLedger>,
         pending_reply: Option<UnixStream>,
         last_dirty: &mut Option<DirtySummary>,
     ) -> EpochOutcome {
@@ -357,7 +356,25 @@ impl Daemon {
                 .fetch_add(report.total_clusters as u64, Ordering::Relaxed);
             *last_dirty = Some(summary_of(report));
         }
+        if let Some((program_hash, entries)) = restored {
+            session.restore_ledger(program_hash, entries);
+        }
         *prev_snapshot = Some(snapshot(&session));
+        if let Some(jp) = self.journal_path() {
+            // The epoch becomes durable before its edit is acknowledged,
+            // so a kill after `edit_ok` always recovers to it.
+            let saved = journal::save_with_ledger(
+                &jp,
+                epoch,
+                &workspace.sources(),
+                session.program_content_hash(),
+                &session.ledger().entries(),
+            );
+            if let Err(e) = saved {
+                eprintln!("bootstrap-daemon: journal write failed: {e}");
+            }
+            self.maybe_corrupt_journal(&jp);
+        }
 
         // The edit that opened this epoch is answered now, with the
         // dirty accounting its barrier produced.

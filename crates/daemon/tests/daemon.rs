@@ -639,3 +639,152 @@ fn worker_rejects_bad_edits_and_counters_follow_outcomes() {
     client.request(&Request::Shutdown).unwrap();
     handle.join().unwrap().unwrap();
 }
+
+/// The daemon's answer to a point query: its sources and precision.
+fn query(client: &Client, func: &str, stmt: u64, var: &str) -> (Vec<String>, String) {
+    match client
+        .request(&Request::Query {
+            func: func.into(),
+            stmt,
+            var: var.into(),
+            deadline_ms: None,
+        })
+        .expect("query request")
+    {
+        Response::QueryOk {
+            sources, precision, ..
+        } => (sources, precision),
+        other => panic!("expected query_ok, got {other:?}"),
+    }
+}
+
+/// A cold, store-less answer to the same query, rendered as the daemon
+/// renders it.
+fn cold_query(files: &BTreeMap<String, String>, func: &str, stmt: u64, var: &str) -> Vec<String> {
+    let ws = bootstrap_daemon::Workspace::from_sources(
+        files.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+    )
+    .unwrap();
+    let program = ws.lower().unwrap();
+    let session = bootstrap_core::Session::new(&program, bootstrap_core::Config::default());
+    let fid = program.func_named(func).unwrap();
+    let az = session.analyzer();
+    let v = program.var_named(var).unwrap();
+    let answer = session.query_at_loc(&az, v, bootstrap_ir::Loc::new(fid, stmt as u32));
+    answer
+        .sources
+        .iter()
+        .map(|(s, c)| format!("{} under {c}", s.display(&program)))
+        .collect()
+}
+
+/// Every store entry file under `dir` with its bytes.
+fn entry_files(dir: &std::path::Path) -> BTreeMap<std::path::PathBuf, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "bsa"))
+        .map(|p| {
+            let bytes = std::fs::read(&p).unwrap();
+            (p, bytes)
+        })
+        .collect()
+}
+
+/// Turning a `while` into an `if` changes no statement's text, only an
+/// edge; the edit must dirty the loop's partition and the re-check and
+/// query must answer like a cold run of the edited program.
+#[test]
+fn loop_to_branch_edit_answers_like_cold() {
+    let looped = "int a; int c; int w; int *x; int *y; int *z;\n\
+                  void main() { y = NULL; while (c) { x = y; y = &a; } z = x; w = *z; }\n";
+    let branched = looped.replace("while", "if");
+    let socket = tmp_socket("loop-edge");
+    let cache = tmp_dir("loop-edge-cache");
+    let mut opts = ServeOptions::new(&socket);
+    opts.cache_dir = Some(cache.clone());
+    opts.seed_files = BTreeMap::from([("loop.c".to_string(), looped.to_string())]);
+    let handle = spawn_daemon(opts);
+    wait_socket(&socket);
+    let client = Client::new(&socket);
+
+    // Populate the store with the looped program's clusters.
+    let _ = check_text(&client);
+    match edit(&client, "loop.c", &branched) {
+        Response::EditOk { dirty, .. } => {
+            assert!(dirty.dirty_partitions > 0, "edge edit left {dirty:?}")
+        }
+        other => panic!("expected edit_ok, got {other:?}"),
+    }
+    let files = BTreeMap::from([("loop.c".to_string(), branched)]);
+    let (text, _) = check_text(&client);
+    assert_eq!(text, cold_eval(&files).text);
+    let exit = exit_stmt(&files, "main");
+    let (sources, precision) = query(&client, "main", exit, "z");
+    assert_eq!(precision, "fscs");
+    assert_eq!(sources, cold_query(&files, "main", exit, "z"));
+    assert!(
+        !sources.iter().any(|s| s.starts_with("&a")),
+        "no loop, no &a: {sources:?}"
+    );
+
+    client.request(&Request::Shutdown).unwrap();
+    handle.join().unwrap().unwrap();
+}
+
+/// Three epochs with no check in the middle one: the untouched network's
+/// clusters still hit in the third, through the adoption ledger, and no
+/// entry written in the first epoch is ever rewritten.
+#[test]
+fn ledger_keeps_clean_clusters_across_an_unchecked_epoch() {
+    let socket = tmp_socket("ledger");
+    let cache = tmp_dir("ledger-cache");
+    let mut opts = ServeOptions::new(&socket);
+    opts.cache_dir = Some(cache.clone());
+    opts.seed_files = files_for(&seed_state());
+    let handle = spawn_daemon(opts);
+    wait_socket(&socket);
+    let client = Client::new(&socket);
+
+    let _ = check_text(&client);
+    let written = entry_files(&cache);
+    assert!(!written.is_empty());
+
+    let mut state = seed_state();
+    for (epoch, file) in [(1, "a.c"), (2, "b.c")] {
+        state.insert(file, 1);
+        match edit(&client, file, &variant(&file[..1], 1)) {
+            Response::EditOk { epoch: e, dirty } => {
+                assert_eq!(e, epoch);
+                assert!(dirty.adopted, "{dirty:?}");
+            }
+            other => panic!("expected edit_ok, got {other:?}"),
+        }
+    }
+    let files = files_for(&state);
+    let (text, findings) = check_text(&client);
+    assert_eq!(text, cold_eval(&files).text);
+    assert!(findings > 0);
+    let stats = client.request(&Request::Stats).unwrap();
+    assert!(stats_field(&stats, "store_hits") > 0, "{stats:?}");
+    assert_eq!(stats_field(&stats, "store_invalidated"), 0, "{stats:?}");
+
+    let exit = exit_stmt(&files, "cent");
+    let (sources, precision) = query(&client, "cent", exit, "cp");
+    assert_eq!(precision, "fscs");
+    assert_eq!(sources, cold_query(&files, "cent", exit, "cp"));
+
+    let now = entry_files(&cache);
+    for (path, bytes) in &written {
+        assert_eq!(
+            now.get(path),
+            Some(bytes),
+            "{} was rewritten",
+            path.display()
+        );
+    }
+
+    client.request(&Request::Shutdown).unwrap();
+    handle.join().unwrap().unwrap();
+}
