@@ -14,6 +14,11 @@ use crate::bitset::VarSet;
 
 /// The result of Andersen's analysis: one points-to set per variable.
 ///
+/// The solver numbers only the variables its statement slice mentions, so
+/// a partition's solve is sized to the slice, not to the program. Every
+/// accessor takes and returns program [`VarId`]s; a variable the slice
+/// never mentions points to nothing.
+///
 /// # Examples
 ///
 /// ```
@@ -25,17 +30,22 @@ use crate::bitset::VarSet;
 /// let an = bootstrap_analyses::andersen::analyze(&p);
 /// let v = |n: &str| p.var_named(n).unwrap();
 /// // q inherits a from p but p does not inherit b back (directional).
-/// assert!(an.points_to(v("q")).contains(v("a").index() as u32));
-/// assert!(!an.points_to(v("p")).contains(v("b").index() as u32));
+/// assert!(an.points_to_vars(v("q")).contains(&v("a")));
+/// assert!(!an.points_to_vars(v("p")).contains(&v("b")));
 /// ```
 #[derive(Clone, Debug)]
 pub struct AndersenResult {
-    /// Points-to sets indexed by *class representative*: variables the
-    /// solver merged share one physical set at their representative's
-    /// slot (non-representative slots are empty). Accessors resolve
-    /// through `class`, so collapsed classes of any size cost one set.
+    /// The program variables the slice mentions, sorted: slice-local id
+    /// `i` is `vars[i]`. Local numbering keeps `VarId` order, so sorting
+    /// by local id and by `VarId` agree.
+    vars: Vec<VarId>,
+    /// Points-to sets of local object ids, indexed by *class
+    /// representative*: variables the solver merged share one physical
+    /// set at their representative's slot (non-representative slots are
+    /// empty). Accessors resolve through `class`, so collapsed classes of
+    /// any size cost one set.
     pts: Vec<VarSet>,
-    /// Final union-find class representative per variable. Variables the
+    /// Final union-find class representative per local id. Variables the
     /// solver merged (cycle elimination) share a representative; a solver
     /// that merged nothing maps every variable to itself.
     class: Vec<u32>,
@@ -54,28 +64,33 @@ pub struct AndersenCluster {
 }
 
 impl AndersenResult {
-    /// The points-to set of `v` (object variable indices).
-    pub fn points_to(&self, v: VarId) -> &VarSet {
-        &self.pts[self.class[v.index()] as usize]
+    /// The local points-to set of `v` (`None` if the slice never mentions
+    /// `v`).
+    fn local_pts(&self, v: VarId) -> Option<&VarSet> {
+        let i = self.vars.binary_search(&v).ok()?;
+        Some(&self.pts[self.class[i] as usize])
     }
 
     /// The points-to set of `v` as sorted [`VarId`]s.
     pub fn points_to_vars(&self, v: VarId) -> Vec<VarId> {
-        self.points_to(v)
-            .iter()
-            .map(|i| VarId::new(i as usize))
-            .collect()
+        self.local_pts(v).map_or_else(Vec::new, |s| {
+            s.iter().map(|o| self.vars[o as usize]).collect()
+        })
     }
 
     /// Returns `true` if `p` and `q` may alias (their points-to sets
     /// intersect).
     pub fn may_alias(&self, p: VarId, q: VarId) -> bool {
-        self.points_to(p).intersects(self.points_to(q))
+        match (self.local_pts(p), self.local_pts(q)) {
+            (Some(a), Some(b)) => a.intersects(b),
+            _ => false,
+        }
     }
 
-    /// Number of variables covered.
+    /// Number of variables the solve numbered: those its statement slice
+    /// mentions, not the program's variable count.
     pub fn var_count(&self) -> usize {
-        self.class.len()
+        self.vars.len()
     }
 
     /// Builds the Andersen clusters over `pointers` (paper §2, "Computing
@@ -87,13 +102,13 @@ impl AndersenResult {
             std::collections::HashMap::new();
         let mut singletons = Vec::new();
         for &p in pointers {
-            let set = self.points_to(p);
-            if set.is_empty() {
-                singletons.push(p);
-            } else {
-                for o in set.iter() {
-                    by_object.entry(o).or_default().push(p);
+            match self.local_pts(p) {
+                Some(set) if !set.is_empty() => {
+                    for o in set.iter() {
+                        by_object.entry(o).or_default().push(p);
+                    }
                 }
+                _ => singletons.push(p),
             }
         }
         let mut out: Vec<AndersenCluster> = by_object
@@ -102,7 +117,7 @@ impl AndersenResult {
                 members.sort();
                 members.dedup();
                 AndersenCluster {
-                    object: Some(VarId::new(o as usize)),
+                    object: Some(self.vars[o as usize]),
                     members,
                 }
             })
@@ -125,29 +140,24 @@ impl AndersenResult {
     pub fn merged_groups(&self) -> Vec<Vec<VarId>> {
         let mut by_class: std::collections::HashMap<u32, Vec<VarId>> =
             std::collections::HashMap::new();
-        for (v, &c) in self.class.iter().enumerate() {
-            by_class.entry(c).or_default().push(VarId::new(v));
+        for (&v, &c) in self.vars.iter().zip(&self.class) {
+            by_class.entry(c).or_default().push(v);
         }
-        let mut out: Vec<Vec<VarId>> = by_class
-            .into_values()
-            .filter(|g| g.len() > 1)
-            .map(|mut g| {
-                g.sort();
-                g
-            })
-            .collect();
+        let mut out: Vec<Vec<VarId>> = by_class.into_values().filter(|g| g.len() > 1).collect();
         out.sort();
         out
     }
 
     /// Resolves candidate targets of an indirect call through `fp`.
     pub fn fp_targets(&self, program: &Program, fp: VarId) -> Vec<bootstrap_ir::FuncId> {
-        let mut out = Vec::new();
-        for o in self.points_to(fp).iter() {
-            if let VarKind::FuncObj(f) = program.var(VarId::new(o as usize)).kind() {
-                out.push(*f);
-            }
-        }
+        let mut out: Vec<_> = self
+            .points_to_vars(fp)
+            .into_iter()
+            .filter_map(|o| match program.var(o).kind() {
+                VarKind::FuncObj(f) => Some(*f),
+                _ => None,
+            })
+            .collect();
         out.sort();
         out.dedup();
         out
@@ -271,22 +281,19 @@ pub fn analyze(program: &Program) -> AndersenResult {
 /// Runs Andersen's analysis with an explicit solver mode.
 pub fn analyze_with(program: &Program, mode: SolverMode) -> AndersenResult {
     let stmts = program.all_locs().map(|(_, s)| s);
-    analyze_stmts_with_stats(program.var_count(), stmts, mode).0
+    analyze_stmts_with_stats(stmts, mode).0
 }
 
 /// Runs Andersen's analysis over an arbitrary statement slice, also
 /// returning solver work counters. The bootstrapping cascade uses it to
 /// re-analyze a single Steensgaard partition's relevant statements
-/// (`St_P`) in isolation.
-pub fn analyze_stmts_with_stats<'a, I>(
-    n_vars: usize,
-    stmts: I,
-    mode: SolverMode,
-) -> (AndersenResult, SolverStats)
+/// (`St_P`) in isolation. The solve is sized to the variables the slice
+/// mentions (see [`AndersenResult`]).
+pub fn analyze_stmts_with_stats<'a, I>(stmts: I, mode: SolverMode) -> (AndersenResult, SolverStats)
 where
     I: IntoIterator<Item = &'a Stmt>,
 {
-    let (result, stats, _) = analyze_stmts_profiled(n_vars, stmts, mode);
+    let (result, stats, _) = analyze_stmts_profiled(stmts, mode);
     (result, stats)
 }
 
@@ -296,8 +303,8 @@ where
 /// fixpoint the configurations actually differ in.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolverPhases {
-    /// Table allocation plus the ingestion pass over the statement slice
-    /// (points-to seeds, copy edges, load/store index).
+    /// Slice-local numbering, table allocation and the ingestion pass over
+    /// the statement slice (points-to seeds, copy edges, load/store index).
     pub build_secs: f64,
     /// The constraint-solving fixpoint proper.
     pub solve_secs: f64,
@@ -308,7 +315,6 @@ pub struct SolverPhases {
 /// Like [`analyze_stmts_with_stats`], also returning the wall-clock phase
 /// breakdown.
 pub fn analyze_stmts_profiled<'a, I>(
-    n_vars: usize,
     stmts: I,
     mode: SolverMode,
 ) -> (AndersenResult, SolverStats, SolverPhases)
@@ -330,7 +336,7 @@ where
     const K_COPY: u8 = 1;
     const K_LOAD: u8 = 2;
     const K_STORE: u8 = 3;
-    let tuples: Vec<(u8, u32, u32)> = stmts
+    let mut tuples: Vec<(u8, u32, u32)> = stmts
         .into_iter()
         .filter_map(|stmt| match *stmt {
             Stmt::AddrOf { dst, obj } => Some((K_ADDR, dst.index() as u32, obj.index() as u32)),
@@ -347,9 +353,39 @@ where
             | Stmt::Skip => None,
         })
         .collect();
-    let mut edge_deg = vec![0u32; n_vars];
-    let mut load_deg = vec![0u32; n_vars];
-    let mut store_deg = vec![0u32; n_vars];
+    // Slice-local numbering: the tuples' endpoints become ids 0..n in
+    // increasing `VarId` order. Every table below is sized to n, so a
+    // partition's solve costs what its slice mentions, not what the
+    // program declares. One sort of (program id, endpoint slot) keys
+    // numbers and rewrites every endpoint in a single sweep; endpoint
+    // slot 2i is tuple i's first variable, 2i + 1 its second.
+    let mut ends: Vec<u64> = tuples
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &(_, a, b))| {
+            let slot = 2 * i as u64;
+            [(a as u64) << 32 | slot, (b as u64) << 32 | (slot + 1)]
+        })
+        .collect();
+    ends.sort_unstable();
+    let mut vars: Vec<u32> = Vec::new();
+    for key in ends {
+        let (g, slot) = ((key >> 32) as u32, key as u32 as usize);
+        if vars.last() != Some(&g) {
+            vars.push(g);
+        }
+        let id = (vars.len() - 1) as u32;
+        let t = &mut tuples[slot / 2];
+        if slot % 2 == 0 {
+            t.1 = id;
+        } else {
+            t.2 = id;
+        }
+    }
+    let n = vars.len();
+    let mut edge_deg = vec![0u32; n];
+    let mut load_deg = vec![0u32; n];
+    let mut store_deg = vec![0u32; n];
     for &(kind, a, _) in &tuples {
         match kind {
             K_COPY => edge_deg[a as usize] += 1,
@@ -358,7 +394,7 @@ where
             _ => {}
         }
     }
-    let mut solver = Solver::new(n_vars, mode);
+    let mut solver = Solver::new(n, mode);
     solver.reserve(&edge_deg, &load_deg, &store_deg);
     for &(kind, a, b) in &tuples {
         match kind {
@@ -393,7 +429,7 @@ where
     solver.solve();
     let solved = t0.elapsed();
     let stats = solver.stats();
-    let result = solver.into_result();
+    let result = solver.into_result(vars);
     let phases = SolverPhases {
         build_secs: built.as_secs_f64(),
         solve_secs: (solved - built).as_secs_f64(),
@@ -635,7 +671,11 @@ impl Solver {
     /// near-identical per-node pop profiles. Volume can: sets circulating
     /// through unresolved cycles grow element by element and get
     /// re-propagated wholesale, so cyclic cores push volume-per-node into
-    /// the tens while one-pass graphs stay under ~2 end to end.
+    /// the tens while one-pass graphs stay under ~2 end to end. "Per
+    /// node" counts the slice's variables, not the program's: a partition
+    /// solve numbers only what its slice mentions, which is also the size
+    /// the solver benchmark tuned the budget against. A program-sized
+    /// budget would let a small cyclic slice thrash unchecked.
     fn drain_until_thrash(&mut self) -> bool {
         let budget = 4 * self.pts.len() + 64;
         let mut volume = 0usize;
@@ -1018,14 +1058,12 @@ impl Solver {
     /// class representative's slot and the result's accessors resolve
     /// variables through the class table, so finishing costs O(n) however
     /// large the collapsed classes or their shared sets are (the old
-    /// expansion cloned one set per class member).
-    fn into_result(mut self) -> AndersenResult {
-        let n = self.pts.len();
-        let mut class = vec![0u32; n];
-        for v in 0..n as u32 {
-            class[v as usize] = self.rep(v);
-        }
+    /// expansion cloned one set per class member). `vars` is the
+    /// local-to-program id table of the slice.
+    fn into_result(mut self, vars: Vec<u32>) -> AndersenResult {
+        let class = (0..self.pts.len() as u32).map(|v| self.rep(v)).collect();
         AndersenResult {
+            vars: vars.into_iter().map(|g| VarId::new(g as usize)).collect(),
             pts: self.pts,
             class,
         }
@@ -1133,7 +1171,7 @@ mod tests {
              void main() { x = malloc(4); y = malloc(4); }");
         let v = |n: &str| p.var_named(n).unwrap();
         assert!(!r.may_alias(v("x"), v("y")), "distinct alloc sites");
-        assert_eq!(r.points_to(v("x")).len(), 1);
+        assert_eq!(r.points_to_vars(v("x")).len(), 1);
     }
 
     #[test]
@@ -1150,9 +1188,9 @@ mod tests {
             .iter()
             .filter(|s| matches!(s, Stmt::AddrOf { dst, .. } if *dst == p.var_named("x").unwrap()))
             .collect();
-        let (r, _) = analyze_stmts_with_stats(p.var_count(), stmts, SolverMode::default());
-        assert_eq!(r.points_to(p.var_named("x").unwrap()).len(), 1);
-        assert!(r.points_to(p.var_named("y").unwrap()).is_empty());
+        let (r, _) = analyze_stmts_with_stats(stmts, SolverMode::default());
+        assert_eq!(r.points_to_vars(p.var_named("x").unwrap()).len(), 1);
+        assert!(r.points_to_vars(p.var_named("y").unwrap()).is_empty());
     }
 
     #[test]
@@ -1172,6 +1210,92 @@ mod tests {
         assert_eq!(r.fp_targets(&p, fp).len(), 2);
         assert_eq!(r.fp_targets(&p, fq).len(), 1);
     }
+
+    /// Declares `n` unrelated globals first, so the interesting variables
+    /// get program ids far from the solver's slice-local ids.
+    fn padded(n: usize, rest: &str) -> String {
+        let mut src: String = (0..n).map(|i| format!("int pad{i}; ")).collect();
+        src.push_str(rest);
+        src
+    }
+
+    #[test]
+    fn unmentioned_partition_member_gets_a_singleton_cluster() {
+        let p = parse_program(&padded(
+            20,
+            "int a; int *x; int *y; void main() { x = &a; y = x; }",
+        ))
+        .unwrap();
+        let v = |n: &str| p.var_named(n).unwrap();
+        // The slice is `x = &a` alone: y is a partition member it never
+        // mentions.
+        let stmts: Vec<&Stmt> = p
+            .all_locs()
+            .map(|(_, s)| s)
+            .filter(|s| matches!(s, Stmt::AddrOf { .. }))
+            .collect();
+        let (r, _) = analyze_stmts_with_stats(stmts, SolverMode::default());
+        assert!(r.points_to_vars(v("y")).is_empty());
+        assert!(!r.may_alias(v("x"), v("y")));
+        assert_eq!(
+            r.clusters(&[v("x"), v("y")]),
+            vec![
+                AndersenCluster {
+                    object: None,
+                    members: vec![v("y")],
+                },
+                AndersenCluster {
+                    object: Some(v("a")),
+                    members: vec![v("x")],
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn fp_targets_and_merged_groups_are_program_ids() {
+        let p = parse_program(&padded(
+            30,
+            "void f() { } void g() { } void (*fp)(); void (*fq)();
+             int a; int b; int *x; int *y; int *z;
+             void main() { fp = &f; fq = &g; fp = fq;
+                           x = &a; z = &b; y = x; z = y; x = z; }",
+        ))
+        .unwrap();
+        let v = |n: &str| p.var_named(n).unwrap();
+        let r = analyze_with(&p, SolverMode::Eager);
+        assert!(r.var_count() < p.var_count());
+        let f = p.func_named("f").unwrap();
+        let g = p.func_named("g").unwrap();
+        assert_eq!(r.fp_targets(&p, v("fp")), vec![f, g]);
+        assert_eq!(r.fp_targets(&p, v("fq")), vec![g]);
+        assert!(
+            r.merged_groups().contains(&vec![v("x"), v("y"), v("z")]),
+            "{:?}",
+            r.merged_groups()
+        );
+    }
+
+    #[test]
+    fn variables_no_statement_mentions_point_to_nothing() {
+        let (p, r) = an("int a; int b; int *x; int *unused; int **spare;
+             void main() { x = &a; }");
+        let v = |n: &str| p.var_named(n).unwrap();
+        assert_eq!(pts_names(&p, &r, "x"), vec!["a"]);
+        for name in ["unused", "spare", "b"] {
+            assert!(r.points_to_vars(v(name)).is_empty(), "{name}");
+            assert!(!r.may_alias(v(name), v("x")), "{name}");
+        }
+    }
+
+    #[test]
+    fn var_count_is_the_slice_variable_count() {
+        let (p, r) = an("int a; int b; int c; int *x; int *y; int *w;
+             void main() { x = &a; y = x; }");
+        // x, a and y: the three variables the statements mention.
+        assert_eq!(r.var_count(), 3);
+        assert!(p.var_count() > 3);
+    }
 }
 
 #[cfg(test)]
@@ -1188,7 +1312,6 @@ mod worklist_tests {
     fn diamond_pop_count_is_bounded() {
         const K: usize = 40;
         // Vars 0..4 are the diamond (a, b, c, d); 4.. are address-taken objects.
-        let n_vars = 4 + K;
         let v = |i: usize| VarId::new(i);
         let mut stmts: Vec<Stmt> = Vec::new();
         for o in 0..K {
@@ -1213,9 +1336,9 @@ mod worklist_tests {
             dst: v(3),
             src: v(2),
         });
-        let (result, stats) = analyze_stmts_with_stats(n_vars, stmts.iter(), SolverMode::default());
+        let (result, stats) = analyze_stmts_with_stats(stmts.iter(), SolverMode::default());
         for node in 0..4 {
-            assert_eq!(result.points_to(v(node)).len(), K, "node {node}");
+            assert_eq!(result.points_to_vars(v(node)).len(), K, "node {node}");
         }
         // One productive pop per node plus the second (empty-delta-free)
         // arrival at d; anything near K pops means dedup is broken.
@@ -1242,8 +1365,8 @@ mod worklist_tests {
                 src: v(0),
             });
         }
-        let (result, stats) = analyze_stmts_with_stats(3, stmts.iter(), SolverMode::default());
-        assert_eq!(result.points_to(v(1)).len(), 1);
+        let (result, stats) = analyze_stmts_with_stats(stmts.iter(), SolverMode::default());
+        assert_eq!(result.points_to_vars(v(1)).len(), 1);
         assert_eq!(stats.edges, 1, "duplicate copy edges must collapse to one");
     }
 }
@@ -1284,9 +1407,9 @@ mod cycle_tests {
              void main() { p = &a; r = &b; q = p; r = q; p = r; }",
         );
         let v = |n: &str| p.var_named(n).unwrap();
-        assert_eq!(eager.points_to(v("p")).len(), 2);
-        assert_eq!(eager.points_to(v("q")).len(), 2);
-        assert_eq!(eager.points_to(v("r")).len(), 2);
+        assert_eq!(eager.points_to_vars(v("p")).len(), 2);
+        assert_eq!(eager.points_to_vars(v("q")).len(), 2);
+        assert_eq!(eager.points_to_vars(v("r")).len(), 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use bootstrap_analyses::andersen::{self, SolverMode};
 use bootstrap_analyses::bitset::VarSet;
 use bootstrap_analyses::steensgaard;
 use bootstrap_analyses::unionfind::UnionFind;
-use bootstrap_ir::{Program, ProgramBuilder, VarId};
+use bootstrap_ir::{Program, ProgramBuilder, Stmt, VarId};
 use proptest::prelude::*;
 
 proptest! {
@@ -136,8 +136,7 @@ proptest! {
         let an = andersen::analyze(&program);
         let st = steensgaard::analyze(&program);
         for v in program.var_ids() {
-            for o in an.points_to(v).iter() {
-                let obj = VarId::new(o as usize);
+            for obj in an.points_to_vars(v) {
                 let pointee = st.pointee(st.class_of(v));
                 prop_assert_eq!(
                     pointee,
@@ -200,6 +199,72 @@ proptest! {
         }
     }
 
+    /// Slice answers: over a random statement subset (the shape of a
+    /// partition's relevant slice), both fast modes equal the naive oracle
+    /// for every program variable, and a variable the subset never
+    /// mentions points to nothing.
+    #[test]
+    fn slice_answers_match_naive_and_leave_unmentioned_empty(
+        ops in prop::collection::vec((0u8..5, 0u8..8, 0u8..8), 1..80),
+        keep in prop::collection::vec(0u8..3, 1..16),
+    ) {
+        let program = build_program(&ops, 8, 4);
+        let slice = subset(&program, &keep);
+        let mentioned: BTreeSet<VarId> = slice
+            .iter()
+            .filter_map(|s| endpoints(s))
+            .flat_map(|(a, b)| [a, b])
+            .collect();
+        let (naive, _) = andersen::analyze_stmts_with_stats(slice.iter().copied(), SolverMode::Naive);
+        prop_assert_eq!(naive.var_count(), mentioned.len());
+        for mode in [SolverMode::Adaptive, SolverMode::Eager] {
+            let (fast, _) = andersen::analyze_stmts_with_stats(slice.iter().copied(), mode);
+            prop_assert_eq!(fast.var_count(), mentioned.len());
+            for v in program.var_ids() {
+                let pts = fast.points_to_vars(v);
+                prop_assert_eq!(
+                    &naive.points_to_vars(v),
+                    &pts,
+                    "mismatch for {} ({:?})",
+                    program.var(v).name(),
+                    mode
+                );
+                if !mentioned.contains(&v) {
+                    prop_assert!(pts.is_empty(), "{} is outside the slice", program.var(v).name());
+                }
+            }
+        }
+    }
+
+    /// Renumbering invariance: the solver numbers a slice's variables in
+    /// `VarId` order, so moving them through an injective increasing map
+    /// changes neither the work it does nor (mapped back) its answers.
+    #[test]
+    fn increasing_renumbering_changes_no_stat_and_no_answer(
+        ops in prop::collection::vec((0u8..5, 0u8..8, 0u8..8), 1..80),
+        keep in prop::collection::vec(0u8..3, 1..16),
+    ) {
+        let program = build_program(&ops, 8, 4);
+        let slice = subset(&program, &keep);
+        let far = |v: VarId| VarId::new(7 * v.index() + 100_000);
+        let moved: Vec<Stmt> = slice.iter().filter_map(|s| remap(s, far)).collect();
+        for mode in [SolverMode::Adaptive, SolverMode::Eager, SolverMode::Naive] {
+            let (near, near_stats) = andersen::analyze_stmts_with_stats(slice.iter().copied(), mode);
+            let (away, away_stats) = andersen::analyze_stmts_with_stats(moved.iter(), mode);
+            prop_assert_eq!(near_stats, away_stats, "{:?}", mode);
+            for v in program.var_ids() {
+                let mapped: Vec<VarId> = near.points_to_vars(v).into_iter().map(far).collect();
+                prop_assert_eq!(mapped, away.points_to_vars(far(v)), "{} ({:?})", program.var(v).name(), mode);
+            }
+            let groups: Vec<Vec<VarId>> = near
+                .merged_groups()
+                .into_iter()
+                .map(|g| g.into_iter().map(far).collect())
+                .collect();
+            prop_assert_eq!(groups, away.merged_groups());
+        }
+    }
+
     /// Andersen clusters form a disjunctive alias cover: every pair with
     /// intersecting points-to sets shares a cluster; every pointer is
     /// covered.
@@ -254,4 +319,51 @@ proptest! {
             }
         }
     }
+}
+
+/// The statements of `program` whose position `i` has a non-zero
+/// `keep[i % keep.len()]`: a random slice.
+fn subset<'p>(program: &'p Program, keep: &[u8]) -> Vec<&'p Stmt> {
+    program
+        .all_locs()
+        .enumerate()
+        .filter(|(i, _)| keep[i % keep.len()] != 0)
+        .map(|(_, (_, s))| s)
+        .collect()
+}
+
+/// The two variables of an inclusion constraint (`None` for statements
+/// Andersen ignores).
+fn endpoints(s: &Stmt) -> Option<(VarId, VarId)> {
+    match *s {
+        Stmt::AddrOf { dst, obj } => Some((dst, obj)),
+        Stmt::Copy { dst, src } | Stmt::Load { dst, src } | Stmt::Store { dst, src } => {
+            Some((dst, src))
+        }
+        _ => None,
+    }
+}
+
+/// `s` with both variables moved through `f` (`None` for statements
+/// Andersen ignores).
+fn remap(s: &Stmt, f: impl Fn(VarId) -> VarId) -> Option<Stmt> {
+    Some(match *s {
+        Stmt::AddrOf { dst, obj } => Stmt::AddrOf {
+            dst: f(dst),
+            obj: f(obj),
+        },
+        Stmt::Copy { dst, src } => Stmt::Copy {
+            dst: f(dst),
+            src: f(src),
+        },
+        Stmt::Load { dst, src } => Stmt::Load {
+            dst: f(dst),
+            src: f(src),
+        },
+        Stmt::Store { dst, src } => Stmt::Store {
+            dst: f(dst),
+            src: f(src),
+        },
+        _ => return None,
+    })
 }

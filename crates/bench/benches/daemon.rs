@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use bootstrap_bench::rustc_version;
 use bootstrap_checks::{run_checks, CheckerKind};
 use bootstrap_client::{Client, Request, Response};
 use bootstrap_core::{Config, Session};
@@ -103,18 +104,6 @@ fn cold_check(files: &BTreeMap<String, String>) -> (Duration, usize) {
     let session = Session::new(&program, Config::default());
     let report = run_checks(&session, &CheckerKind::ALL);
     (t0.elapsed(), report.findings.len())
-}
-
-/// `rustc -V` of the toolchain on `PATH`, or `"unknown"`.
-fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("-V")
-        .output()
-        .ok()
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {

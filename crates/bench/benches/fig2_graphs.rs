@@ -48,9 +48,9 @@ fn main() {
             .collect();
         println!("  {n} -> {{{}}}", pts.join(","));
     }
-    assert_eq!(an.points_to(v("p")).len(), 1);
-    assert_eq!(an.points_to(v("r")).len(), 1);
-    assert_eq!(an.points_to(v("q")).len(), 3, "q has out-degree three");
+    assert_eq!(an.points_to_vars(v("p")).len(), 1);
+    assert_eq!(an.points_to_vars(v("r")).len(), 1);
+    assert_eq!(an.points_to_vars(v("q")).len(), 3, "q has out-degree three");
 
     println!();
     println!("ok: Steensgaard merges {{p,q,r}} into one node; Andersen keeps p and r precise.");

@@ -3,66 +3,29 @@
 //! Runs both solver variants over the largest Table 1 preset (sendmail):
 //! once on the relevant-statement slice of the biggest Steensgaard
 //! partition (the unit of work the bootstrapping cascade actually hands to
-//! Andersen), and once on the whole program. Prints one speedup line per
-//! workload and dumps the numbers as `BENCH_andersen.json` at the repo
-//! root for machine consumption.
+//! Andersen), and once on the whole program. Both rows go through the
+//! library entry point exactly as the cascade calls it: the solver numbers
+//! the slice's variables itself, so there is no renumbering here. Prints
+//! one speedup line per workload and dumps the numbers, with the core
+//! count and `rustc -V`, as `BENCH_andersen.json` at the repo root.
 //!
 //! Run with: `cargo bench --bench solver` (add `-- --quick` for one
 //! sample per measurement).
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use bootstrap_analyses::andersen::{self, SolverMode, SolverStats};
 use bootstrap_analyses::steensgaard;
+use bootstrap_bench::rustc_version;
 use bootstrap_core::relevant::relevant_statements;
-use bootstrap_ir::{Stmt, VarId};
+use bootstrap_ir::Stmt;
 use bootstrap_workloads::presets;
-
-/// Renumbers the variables of a statement slice into a dense 0..n range so
-/// solver state is allocated for the variables the slice actually touches,
-/// not for the whole program's variable space. Both solver variants get
-/// the same remapped input, so the comparison is unaffected — this only
-/// stops table allocation from drowning out solve time on small slices.
-fn compact(stmts: &[&Stmt]) -> (usize, Vec<Stmt>) {
-    let mut map: HashMap<VarId, VarId> = HashMap::new();
-    let mut next = 0usize;
-    let mut remap = |v: VarId, map: &mut HashMap<VarId, VarId>| -> VarId {
-        *map.entry(v).or_insert_with(|| {
-            let dense = VarId::new(next);
-            next += 1;
-            dense
-        })
-    };
-    let out = stmts
-        .iter()
-        .filter_map(|s| match **s {
-            Stmt::AddrOf { dst, obj } => Some(Stmt::AddrOf {
-                dst: remap(dst, &mut map),
-                obj: remap(obj, &mut map),
-            }),
-            Stmt::Copy { dst, src } => Some(Stmt::Copy {
-                dst: remap(dst, &mut map),
-                src: remap(src, &mut map),
-            }),
-            Stmt::Load { dst, src } => Some(Stmt::Load {
-                dst: remap(dst, &mut map),
-                src: remap(src, &mut map),
-            }),
-            Stmt::Store { dst, src } => Some(Stmt::Store {
-                dst: remap(dst, &mut map),
-                src: remap(src, &mut map),
-            }),
-            // Everything else is a no-op for the inclusion solver.
-            _ => None,
-        })
-        .collect();
-    (map.len(), out)
-}
 
 struct Measurement {
     label: String,
+    /// Variables the slice mentions (the solver's own numbering).
     n_vars: usize,
+    /// Statements handed to the solver, of every kind.
     n_stmts: usize,
     naive: Duration,
     delta: Duration,
@@ -91,22 +54,21 @@ impl Measurement {
 }
 
 fn time_solver(
-    n_vars: usize,
-    stmts: &[Stmt],
+    stmts: &[&Stmt],
     mode: SolverMode,
     samples: usize,
-) -> (Duration, Duration, Duration, SolverStats) {
+) -> (Duration, Duration, Duration, SolverStats, usize) {
     // One warmup, then the run with the *minimum* end-to-end time (its
     // solve phase reported alongside, so the two numbers are consistent).
     // The minimum is the standard noise-resistant estimator for a shared
     // machine: every disturbance only ever adds time, so the smallest
     // sample is the closest to the solver's intrinsic cost — medians here
     // still jumped ~2x between invocations under host noise.
-    let (_, stats, _) = andersen::analyze_stmts_profiled(n_vars, stmts.iter(), mode);
+    let (result, stats, _) = andersen::analyze_stmts_profiled(stmts.iter().copied(), mode);
     let mut times: Vec<(Duration, Duration, Duration)> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();
-            let (_, _, phases) = andersen::analyze_stmts_profiled(n_vars, stmts.iter(), mode);
+            let (_, _, phases) = andersen::analyze_stmts_profiled(stmts.iter().copied(), mode);
             (
                 t0.elapsed(),
                 Duration::from_secs_f64(phases.solve_secs),
@@ -116,14 +78,14 @@ fn time_solver(
         .collect();
     times.sort();
     let (total, solve, build) = times[0];
-    (total, solve, build, stats)
+    (total, solve, build, stats, result.var_count())
 }
 
-fn measure(label: &str, n_vars: usize, stmts: &[Stmt], samples: usize) -> Measurement {
-    let (naive, naive_solve, naive_build, naive_stats) =
-        time_solver(n_vars, stmts, SolverMode::Naive, samples);
-    let (delta, delta_solve, delta_build, delta_stats) =
-        time_solver(n_vars, stmts, SolverMode::Adaptive, samples);
+fn measure(label: &str, stmts: &[&Stmt], samples: usize) -> Measurement {
+    let (naive, naive_solve, naive_build, naive_stats, n_vars) =
+        time_solver(stmts, SolverMode::Naive, samples);
+    let (delta, delta_solve, delta_build, delta_stats, _) =
+        time_solver(stmts, SolverMode::Adaptive, samples);
     Measurement {
         label: label.to_string(),
         n_vars,
@@ -147,8 +109,13 @@ fn write_json(preset_name: &str, rows: &[Measurement]) -> std::io::Result<String
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
-        "  \"preset\": \"{}\",\n  \"solver\": \"andersen\",\n  \"unit\": \"seconds\",\n  \"workloads\": [\n",
-        json_escape(preset_name)
+        concat!(
+            "  \"preset\": \"{}\",\n  \"solver\": \"andersen\",\n  \"unit\": \"seconds\",\n",
+            "  \"cores\": {},\n  \"rustc\": \"{}\",\n  \"workloads\": [\n"
+        ),
+        json_escape(preset_name),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        json_escape(&rustc_version()),
     ));
     for (i, m) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -225,21 +192,19 @@ fn main() {
     let mut locs: Vec<_> = rel.stmts().collect();
     locs.sort();
     let slice: Vec<&Stmt> = locs.iter().map(|&l| program.stmt_at(l)).collect();
-    let (slice_vars, slice_stmts) = compact(&slice);
-    println!(
-        "biggest partition: {} members, {} relevant stmts, {} vars after compaction",
-        members.len(),
-        slice.len(),
-        slice_vars
-    );
-
     let whole: Vec<&Stmt> = program.all_locs().map(|(_, s)| s).collect();
-    let (whole_vars, whole_stmts) = compact(&whole);
 
     let rows = vec![
-        measure("biggest-partition-slice", slice_vars, &slice_stmts, samples),
-        measure("whole-program", whole_vars, &whole_stmts, samples),
+        measure("biggest-partition-slice", &slice, samples),
+        measure("whole-program", &whole, samples),
     ];
+    println!(
+        "biggest partition: {} members, {} relevant stmts, {} slice vars (program: {})",
+        members.len(),
+        rows[0].n_stmts,
+        rows[0].n_vars,
+        program.var_count()
+    );
 
     for m in &rows {
         println!(

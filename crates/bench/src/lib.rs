@@ -163,6 +163,19 @@ pub fn fmt_baseline(d: Option<Duration>, cap: Duration) -> String {
     }
 }
 
+/// `rustc -V` of the toolchain on `PATH`, or `"unknown"` — recorded in the
+/// `BENCH_*.json` files next to the core count.
+pub fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

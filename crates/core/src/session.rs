@@ -563,11 +563,8 @@ impl<'p> Session<'p> {
         let t0 = Instant::now();
         let rel = relevant_statements_indexed(self.program, &self.steens, &self.index, members);
         let stmts: Vec<&Stmt> = rel.stmts().map(|loc| self.program.stmt_at(loc)).collect();
-        let (result, solver_stats) = andersen::analyze_stmts_with_stats(
-            self.program.var_count(),
-            stmts,
-            andersen::SolverMode::default(),
-        );
+        let (result, solver_stats) =
+            andersen::analyze_stmts_with_stats(stmts, andersen::SolverMode::default());
         let an = Arc::new(AndersenTier {
             result,
             slice_vars: rel.vars().collect(),
@@ -833,11 +830,8 @@ fn build_cover(
         // partition's relevant statements.
         let rel = relevant_statements_indexed(program, steens, index, &members);
         let stmts: Vec<&Stmt> = rel.stmts().map(|loc| program.stmt_at(loc)).collect();
-        let (an, run_stats) = andersen::analyze_stmts_with_stats(
-            program.var_count(),
-            stmts,
-            andersen::SolverMode::default(),
-        );
+        let (an, run_stats) =
+            andersen::analyze_stmts_with_stats(stmts, andersen::SolverMode::default());
         solver_stats.absorb(&run_stats);
         for ac in an.clusters(&members) {
             clusters.push(Cluster::new(

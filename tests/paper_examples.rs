@@ -26,9 +26,9 @@ fn figure2_graph_shapes() {
     );
 
     let an = andersen::analyze(&p);
-    assert_eq!(an.points_to(var(&p, "p")).len(), 1);
-    assert_eq!(an.points_to(var(&p, "q")).len(), 3);
-    assert_eq!(an.points_to(var(&p, "r")).len(), 1);
+    assert_eq!(an.points_to_vars(var(&p, "p")).len(), 1);
+    assert_eq!(an.points_to_vars(var(&p, "q")).len(), 3);
+    assert_eq!(an.points_to_vars(var(&p, "r")).len(), 1);
 
     // The Andersen clusters of the {p,q,r} partition are strictly smaller
     // than the partition itself.

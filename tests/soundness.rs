@@ -256,7 +256,7 @@ fn check_program_with(program: &Program, label: &str, config: Config) {
                 );
                 // Andersen must also know.
                 assert!(
-                    an.points_to(var).contains(o),
+                    an.points_to_vars(var).contains(&obj),
                     "{label}: Andersen missed {} -> {}",
                     program.var(var).name(),
                     program.var(obj).name()
