@@ -169,22 +169,25 @@ impl SteensgaardResult {
     /// pointers within its own group (the property Theorem 6 relies on).
     /// Each group is keyed by [`SteensgaardResult::partition_key`].
     pub fn alias_partitions(&self, program: &Program) -> Vec<(ClassId, Vec<VarId>)> {
-        let mut groups: HashMap<ClassId, Vec<VarId>> = HashMap::new();
+        // Bucket by key over the dense class ids: walking the variables in
+        // id order and the buckets in key order yields sorted output with
+        // no hashing and no sort.
+        let mut groups: Vec<Vec<VarId>> = vec![Vec::new(); self.class_count()];
         for v in program.var_ids() {
             // Pointer-typed variables, plus any variable that holds
             // addresses in practice (its class has a pointee) — an
             // ill-typed `int` carrying a pointer still participates in
             // aliasing.
             if program.var(v).is_pointer() || self.pointee(self.class_of(v)).is_some() {
-                groups.entry(self.partition_key(v)).or_default().push(v);
+                groups[self.partition_key(v).index()].push(v);
             }
         }
-        let mut out: Vec<(ClassId, Vec<VarId>)> = groups.into_iter().collect();
-        for (_, members) in &mut out {
-            members.sort();
-        }
-        out.sort();
-        out
+        groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, members)| !members.is_empty())
+            .map(|(c, members)| (ClassId(c as u32), members))
+            .collect()
     }
 
     /// Resolves the candidate targets of an indirect call through `fp`:

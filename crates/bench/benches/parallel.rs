@@ -1,14 +1,14 @@
-//! Work-stealing cluster scheduler benchmark.
+//! Cluster scheduler benchmark.
 //!
 //! Runs the cluster drivers over the largest Table 1 preset (sendmail):
 //! one serial pass to measure per-cluster durations, then the live
-//! work-stealing pool at 1/2/4/8 threads (steal counts, utilization,
-//! wall-clock), alongside the deterministic steal-schedule *model* —
-//! a longest-processing-time list schedule over the measured durations,
-//! the steady state the idle-steals-from-busy pool converges to. The
+//! shared-cursor pool (`run_pool`) at 1/2/4/8 threads (utilization,
+//! wall-clock), alongside the deterministic list-schedule *model* — a
+//! longest-processing-time list schedule over the measured durations,
+//! which is what the pool's largest-task-left cursor converges to. The
 //! model is what the thread-scaling curve is read from: live wall-clock
 //! only shows real scaling when the host actually has that many cores
-//! (the `cores` field in the JSON records what the host had), whereas
+//! (the `cores` and `rustc` fields in the JSON record the host), whereas
 //! the model curve is hardware-independent, exactly like the paper's
 //! Table 1 "time on 5 machines" column. Results are dumped as
 //! `BENCH_parallel.json` at the repo root.
@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use bootstrap_core::parallel::{
-    greedy_bins, process_clusters, process_clusters_parallel_with_stats, steal_schedule, timed,
+    greedy_bins, list_schedule, process_clusters, process_clusters_parallel_with_stats, timed,
 };
 use bootstrap_core::{Config, Session};
 use bootstrap_workloads::presets;
@@ -32,11 +32,21 @@ const STEPS_PER_CLUSTER: u64 = 2_000_000;
 struct Row {
     threads: usize,
     live_wall: Duration,
-    live_steals: usize,
     utilization: f64,
     model_makespan: Duration,
     model_speedup: f64,
     static_makespan: Duration,
+}
+
+/// The compiler that built this bench, as `rustc --version` prints it.
+fn rustc_version() -> String {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |v| v.trim().to_string())
 }
 
 fn json(preset: &str, cores: usize, n_clusters: usize, serial: Duration, rows: &[Row]) -> String {
@@ -44,8 +54,9 @@ fn json(preset: &str, cores: usize, n_clusters: usize, serial: Duration, rows: &
     out.push_str("{\n");
     out.push_str(&format!(
         concat!(
-            "  \"preset\": \"{}\",\n  \"scheduler\": \"work-stealing\",\n",
-            "  \"unit\": \"seconds\",\n  \"cores\": {},\n  \"clusters\": {},\n",
+            "  \"preset\": \"{}\",\n  \"scheduler\": \"shared-cursor LPT pool\",\n",
+            "  \"unit\": \"seconds\",\n  \"cores\": {},\n  \"rustc\": \"{}\",\n",
+            "  \"clusters\": {},\n",
             "  \"serial_secs\": {:.6},\n",
             "  \"note\": \"model_* columns are the deterministic LPT ",
             "list-schedule model over measured per-cluster durations; ",
@@ -54,6 +65,7 @@ fn json(preset: &str, cores: usize, n_clusters: usize, serial: Duration, rows: &
         ),
         preset,
         cores,
+        rustc_version(),
         n_clusters,
         serial.as_secs_f64(),
     ));
@@ -61,13 +73,12 @@ fn json(preset: &str, cores: usize, n_clusters: usize, serial: Duration, rows: &
         out.push_str(&format!(
             concat!(
                 "    {{\"threads\": {}, \"live_wall_secs\": {:.6}, ",
-                "\"live_steals\": {}, \"utilization\": {:.3}, ",
+                "\"utilization\": {:.3}, ",
                 "\"model_makespan_secs\": {:.6}, \"model_speedup\": {:.2}, ",
                 "\"static_bin_makespan_secs\": {:.6}}}{}\n"
             ),
             r.threads,
             r.live_wall.as_secs_f64(),
-            r.live_steals,
             r.utilization,
             r.model_makespan.as_secs_f64(),
             r.model_speedup,
@@ -127,7 +138,7 @@ fn main() {
         let (reports, stats) =
             process_clusters_parallel_with_stats(&session, &clusters, threads, STEPS_PER_CLUSTER);
         assert_eq!(reports.len(), serial_reports.len());
-        let model_makespan = steal_schedule(&serial_reports, threads)
+        let model_makespan = list_schedule(&serial_reports, threads)
             .into_iter()
             .max()
             .unwrap_or(Duration::ZERO);
@@ -137,10 +148,9 @@ fn main() {
             .unwrap_or(Duration::ZERO);
         let model_speedup = serial_busy.as_secs_f64() / model_makespan.as_secs_f64().max(1e-9);
         println!(
-            "threads {threads}: live {:?} (steals {}, util {:.0}%), \
+            "threads {threads}: live {:?} (util {:.0}%), \
              model makespan {:?} ({:.2}x), static bins {:?}",
             stats.wall,
-            stats.total_steals(),
             stats.utilization() * 100.0,
             model_makespan,
             model_speedup,
@@ -149,7 +159,6 @@ fn main() {
         rows.push(Row {
             threads,
             live_wall: stats.wall,
-            live_steals: stats.total_steals(),
             utilization: stats.utilization(),
             model_makespan,
             model_speedup,

@@ -18,11 +18,14 @@
 //!   thread-escaped object without a common lock provably held at both
 //!   sites, over the `spawn`/`lock`/`unlock` extended IR.
 //!
-//! Dereference and free sites are collected per Andersen cluster (sites
-//! are queried in partition order so consecutive queries hit the same
-//! per-cluster `St_P` slice and engine), and every site is resolved
-//! through [`Session::query_at_loc`], sharing one [`Analyzer`]'s memo and
-//! the session-wide FSCI cache across the whole batch.
+//! A batch runs in two phases. Phase 1 resolves every dereference and
+//! free site through [`Session::query_at_loc`], one group of sites per
+//! Steensgaard alias partition, so each partition's `St_P` slice and
+//! engine are built once. The groups go through the core worker pool: the
+//! calling thread starts alone and starts helpers only once it has been
+//! resolving for [`SPAWN_AFTER`], each worker with its own [`Analyzer`],
+//! all sharing the session-wide FSCI cache. Phase 2 runs the checkers
+//! sequentially over the resolved sites.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,17 +33,22 @@
 mod order;
 mod race;
 mod report;
+mod resolve;
 
 use std::collections::{HashMap, HashSet};
+use std::time::Duration;
 
+use bootstrap_core::parallel::PoolStats;
 use bootstrap_core::{
-    Analyzer, Cond, DegradeReason, FsciCacheStats, InternerStats, PhaseSnapshot, Precision,
-    QueryLimits, Session, SolverStats, Source, StoreCounters,
+    Analyzer, DegradeReason, FsciCacheStats, InternerStats, PhaseSnapshot, Precision, QueryLimits,
+    Session, SolverStats, Source, StoreCounters,
 };
 use bootstrap_ir::{Loc, Program, Stmt, VarId, VarKind};
 use order::Reach;
+use resolve::Resolver;
 
 pub use report::{interner_occupancy, render_json, render_text};
+pub use resolve::SPAWN_AFTER;
 
 /// The individual checkers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -108,7 +116,7 @@ impl Severity {
 }
 
 /// One diagnostic produced by a checker.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
     /// The checker that produced it.
     pub checker: CheckerKind,
@@ -136,7 +144,7 @@ pub struct Finding {
 }
 
 /// Per-checker work counters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckerStats {
     /// The checker these counters describe.
     pub kind: CheckerKind,
@@ -161,7 +169,8 @@ pub struct CheckReport {
     /// Session interner counters at the end of the run (interned
     /// conditions / dead sets plus memo hit rates).
     pub interner: InternerStats,
-    /// Per-phase wall time and step counters accumulated by the session.
+    /// Per-phase wall time and step counters accumulated by the session
+    /// (times summed over the threads that resolved sites).
     pub phases: PhaseSnapshot,
     /// Aggregate Andersen solver counters (worklist pops, cycles
     /// collapsed, wave rounds) across every cluster the session solved.
@@ -208,61 +217,6 @@ struct Site {
     loc: Loc,
 }
 
-/// One resolved site: the sources and the ladder tier that produced them.
-/// Every site resolves — degraded answers are consumed at lower confidence
-/// instead of being dropped.
-type Resolution = (Vec<(Source, Cond)>, Precision);
-
-/// Memoizing wrapper around [`Session::query_at_loc`]: one resolution per
-/// `(pointer, loc)` pair for the whole batch.
-struct Resolver<'a, 'p> {
-    session: &'a Session<'p>,
-    az: Analyzer<'a>,
-    limits: QueryLimits,
-    resolved: HashMap<(VarId, Loc), Resolution>,
-    /// Unique resolutions per tier, [`Precision::ALL`] order.
-    tiers: [usize; 3],
-    reasons: HashMap<DegradeReason, usize>,
-}
-
-fn tier_slot(p: Precision) -> usize {
-    match p {
-        Precision::Fscs => 0,
-        Precision::Andersen => 1,
-        Precision::Steensgaard => 2,
-    }
-}
-
-impl Resolver<'_, '_> {
-    fn sources(&mut self, ptr: VarId, loc: Loc) -> (&[(Source, Cond)], Precision) {
-        if !self.resolved.contains_key(&(ptr, loc)) {
-            let ans = self
-                .session
-                .query_at_loc_limited(&self.az, ptr, loc, &self.limits);
-            self.tiers[tier_slot(ans.precision)] += 1;
-            if let Some(r) = ans.reason {
-                *self.reasons.entry(r).or_insert(0) += 1;
-            }
-            self.resolved
-                .insert((ptr, loc), (ans.sources, ans.precision));
-        }
-        let (sources, precision) = &self.resolved[&(ptr, loc)];
-        (sources.as_slice(), *precision)
-    }
-
-    fn summary(&self) -> DegradeSummary {
-        let mut reasons: Vec<(DegradeReason, usize)> =
-            self.reasons.iter().map(|(&r, &c)| (r, c)).collect();
-        reasons.sort();
-        DegradeSummary {
-            fscs_queries: self.tiers[0],
-            andersen_queries: self.tiers[1],
-            steensgaard_queries: self.tiers[2],
-            reasons,
-        }
-    }
-}
-
 /// Runs the requested checkers over the session's program.
 ///
 /// Pass [`CheckerKind::ALL`] (or any subset) as `kinds`; duplicates are
@@ -291,13 +245,31 @@ pub fn run_checks_limited(
 /// The daemon's per-request isolation retries a panicked batch on a
 /// fresh analyzer with a doubled interning arena (mirroring the parallel
 /// driver's cluster retry); this entry point is what makes that retry
-/// possible without reaching into the resolver.
+/// possible without reaching into the resolver. Phase 1's workers resolve
+/// on siblings of `az`, so a private arena carries over to them.
 pub fn run_checks_with<'a>(
     session: &'a Session<'_>,
     kinds: &[CheckerKind],
     limits: &QueryLimits,
     az: Analyzer<'a>,
 ) -> CheckReport {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_checks_scheduled(session, kinds, limits, az, threads, SPAWN_AFTER).0
+}
+
+/// [`run_checks_with`] with phase 1 on up to `threads` workers, helpers
+/// starting after `spawn_after` instead of [`SPAWN_AFTER`]. This is the
+/// differential oracle across schedules: findings, [`CheckerStats`] and
+/// [`DegradeSummary`] must not depend on either argument. The pool
+/// counters say how many helpers phase 1 started.
+pub fn run_checks_scheduled<'a>(
+    session: &'a Session<'_>,
+    kinds: &[CheckerKind],
+    limits: &QueryLimits,
+    az: Analyzer<'a>,
+    threads: usize,
+    spawn_after: Duration,
+) -> (CheckReport, PoolStats) {
     let program = session.program();
     let want = |k: CheckerKind| kinds.contains(&k);
     let want_null = want(CheckerKind::NullDeref);
@@ -331,14 +303,21 @@ pub fn run_checks_with<'a>(
     deref_sites.sort_by_key(cluster_order);
     free_sites.sort_by_key(cluster_order);
 
-    let mut rs = Resolver {
-        session,
-        az,
-        limits: limits.clone(),
-        resolved: HashMap::new(),
-        tiers: [0; 3],
-        reasons: HashMap::new(),
-    };
+    // Phase 1: resolve every site the requested checkers read, in
+    // parallel once the batch proves big enough.
+    let mut pairs: Vec<(VarId, Loc)> = Vec::new();
+    if need_deref {
+        pairs.extend(deref_sites.iter().map(|s| (s.ptr, s.loc)));
+    }
+    if need_free {
+        pairs.extend(free_sites.iter().map(|s| (s.ptr, s.loc)));
+    }
+    pairs.sort_by_key(|&(ptr, loc)| cluster_order(&Site { ptr, loc }));
+    pairs.dedup();
+    let mut rs = Resolver::new(session, az, limits);
+    let pool = rs.resolve_all(&pairs, threads, spawn_after);
+
+    // Phase 2: the checkers, sequentially, over the resolved sites.
     let mut stats: HashMap<CheckerKind, CheckerStats> = CheckerKind::ALL
         .iter()
         .filter(|k| want(**k))
@@ -557,7 +536,7 @@ pub fn run_checks_with<'a>(
     // into the persistent store (no-op without one), so the next run over
     // the same program warm-starts.
     rs.az.publish_store();
-    CheckReport {
+    let report = CheckReport {
         findings,
         stats,
         cache: session.fsci_cache_stats(),
@@ -566,7 +545,8 @@ pub fn run_checks_with<'a>(
         solver: session.solver_stats(),
         degrade: rs.summary(),
         store: session.store_counters(),
-    }
+    };
+    (report, pool)
 }
 
 /// A human-readable label for a program location: `func:line` when source
@@ -576,5 +556,116 @@ pub fn site_label(program: &Program, loc: Loc) -> String {
     match program.line_of(loc) {
         Some(line) => format!("{func}:{line}"),
         None => format!("{func}@{}", loc.stmt),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bootstrap_core::{Config, FaultKind, FaultPhase, FaultPlan};
+    use bootstrap_workloads::buggy::{self, BuggyConfig};
+
+    /// The parts of a report that must not depend on the schedule.
+    fn answers(r: &CheckReport) -> (&[Finding], &[CheckerStats], &DegradeSummary) {
+        (&r.findings, &r.stats, &r.degrade)
+    }
+
+    /// A buggy corpus with every checker's patterns, races included.
+    fn corpus() -> Program {
+        buggy::generate(&BuggyConfig::default().scaled(3)).program
+    }
+
+    #[test]
+    fn thread_count_does_not_change_the_answers() {
+        let program = corpus();
+        let mut plans = vec![None];
+        for kind in FaultKind::ALL {
+            for at_tick in [1, 2, 4] {
+                plans.push(Some(FaultPlan {
+                    phase: FaultPhase::Query,
+                    kind,
+                    at_tick,
+                    cluster: None,
+                }));
+            }
+        }
+        for fault_plan in plans {
+            let config = Config {
+                fault_plan,
+                ..Config::default()
+            };
+            let run = |threads| {
+                let session = Session::new(&program, config.clone());
+                let (report, pool) = run_checks_scheduled(
+                    &session,
+                    &CheckerKind::ALL,
+                    &QueryLimits::none(),
+                    session.analyzer(),
+                    threads,
+                    Duration::ZERO,
+                );
+                assert_eq!(pool.workers.len(), threads, "{fault_plan:?}");
+                report
+            };
+            let one = run(1);
+            if fault_plan.is_some() {
+                assert!(
+                    one.degrade.degraded_queries() > 0,
+                    "{fault_plan:?} never fired"
+                );
+            }
+            for threads in [2, 4] {
+                let many = run(threads);
+                assert_eq!(
+                    answers(&one),
+                    answers(&many),
+                    "{threads} threads under {fault_plan:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_group_does_not_degrade_the_next() {
+        // A panic at the first tick poisons the analyzer mid-group. The
+        // group's remaining queries degrade without walking, but the next
+        // group starts on a fresh sibling and walks (and panics) again.
+        let program = corpus();
+        let config = Config {
+            fault_plan: Some(FaultPlan {
+                phase: FaultPhase::Query,
+                kind: FaultKind::Panic,
+                at_tick: 1,
+                cluster: None,
+            }),
+            ..Config::default()
+        };
+        let session = Session::new(&program, config);
+        let (report, pool) = run_checks_scheduled(
+            &session,
+            &CheckerKind::ALL,
+            &QueryLimits::none(),
+            session.analyzer(),
+            1,
+            Duration::ZERO,
+        );
+        let injected = DegradeReason::Panicked {
+            class: bootstrap_core::PanicClass::Injected,
+        };
+        assert!(report
+            .findings
+            .iter()
+            .all(|f| f.precision != Precision::Fscs));
+        assert_eq!(report.degrade.fscs_queries, 0);
+        assert_eq!(
+            report.degrade.reasons,
+            vec![(injected, report.degrade.total_queries())]
+        );
+        // One walk per group (the rest of a group skips tier 1), plus the
+        // race checker's on-demand lock sites on the caller's analyzer.
+        let groups = pool.workers[0].tasks;
+        assert!(groups > 1);
+        assert!(report.phases.fscs.invocations >= groups as u64);
+        assert!(report.phases.fscs.invocations < report.degrade.total_queries() as u64);
     }
 }

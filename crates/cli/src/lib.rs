@@ -818,9 +818,7 @@ fn cmd_relevant(program: &Program, opts: &Opts) -> Result<String, CliError> {
         rel.var_count(),
         rel.stmt_count()
     );
-    let mut locs: Vec<Loc> = rel.stmts().collect();
-    locs.sort();
-    for loc in locs {
+    for loc in rel.stmts() {
         let _ = writeln!(
             out,
             "  {}: {}",

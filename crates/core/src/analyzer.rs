@@ -119,6 +119,22 @@ impl<'s> Analyzer<'s> {
         }
     }
 
+    /// A fresh analyzer over the same session and interning arena, with
+    /// empty memos and no poison. Drivers swap a poisoned analyzer for its
+    /// sibling at the next unit-of-work boundary, which keeps a caller's
+    /// private arena (the daemon's doubled-capacity retry) in force.
+    pub fn sibling(&self) -> Analyzer<'s> {
+        Self::with_arena(self.session, Arc::clone(&self.arena))
+    }
+
+    /// A thread-safe maker of [`Analyzer::sibling`]s. An analyzer stays on
+    /// the thread that built it, so worker threads build their own
+    /// through this.
+    pub fn siblings(&self) -> impl Fn() -> Analyzer<'s> + Send + Sync + 's {
+        let (session, arena) = (self.session, Arc::clone(&self.arena));
+        move || Self::with_arena(session, Arc::clone(&arena))
+    }
+
     /// The panic class that poisoned this analyzer, if any.
     pub fn poison_class(&self) -> Option<PanicClass> {
         self.poisoned.get()

@@ -531,10 +531,9 @@ impl ClusterEngine {
         // baseline runs this with *all* pointers as members, where
         // materializing the full key set upfront would dwarf memory long
         // before the budget expires.
-        let mut funcs: Vec<FuncId> = self.relevant.funcs().collect();
-        // The relevant-function set hashes nondeterministically; fix the
-        // visit order so runs (and budget-bounded prefixes) are repeatable.
-        funcs.sort_unstable();
+        // The relevant functions come in ascending order, so runs (and
+        // budget-bounded prefixes) are repeatable.
+        let funcs: Vec<FuncId> = self.relevant.funcs().collect();
         for f in funcs {
             for i in 0..self.members.len() {
                 if !budget.tick() {

@@ -294,10 +294,10 @@ pub(crate) fn build_units(session: &Session<'_>) -> Units {
     let steens = session.steens();
     let mut units = Units::new();
     let mut seen: HashSet<ClassId> = HashSet::new();
-    let mut queue: VecDeque<(ClassId, bool)> = steens
-        .alias_partitions(program)
-        .into_iter()
-        .map(|(class, _)| (class, false))
+    let mut queue: VecDeque<(ClassId, bool)> = session
+        .alias_partitions()
+        .iter()
+        .map(|(class, _)| (*class, false))
         .collect();
     seen.extend(queue.iter().map(|(c, _)| *c));
 

@@ -1,18 +1,20 @@
-//! Per-cluster drivers: serial, work-stealing threaded, and the paper's
+//! Per-cluster drivers: serial, pooled threaded, and the paper's
 //! 5-machine simulation.
 //!
 //! Clusters can be analyzed independently of each other (§1: "the analysis
 //! for each of the subsets can be carried out independently of others
-//! thereby allowing us to leverage parallelization"). The threaded driver
-//! gives each worker its own deque seeded in [`lpt_order`] stripes; an
-//! idle worker steals from the tail of a sibling's deque, so a straggler
-//! cluster (or a retry) no longer serializes the pool the way the old
-//! static binning did. [`steal_schedule`] models that schedule from
-//! measured per-cluster durations; [`greedy_bins`] is retained as the
-//! paper's *static* contiguous binning (an upper bound on the makespan the
-//! stealing pool achieves, reported for Table-1 comparability).
+//! thereby allowing us to leverage parallelization"). [`run_pool`] is the
+//! workspace's one worker pool: workers take tasks in [`lpt_order`] from a
+//! shared cursor, so an idle worker always starts the largest task left and
+//! a straggler (or a retry) never holds queued work hostage. The cluster
+//! driver and the checkers' site resolution both run on it.
+//! [`list_schedule`] models that schedule from measured per-cluster
+//! durations; [`greedy_bins`] is retained as the paper's *static*
+//! contiguous binning (an upper bound on the makespan the pool achieves,
+//! reported for Table-1 comparability).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -141,32 +143,30 @@ pub fn lpt_order(clusters: &[Cluster]) -> Vec<usize> {
     order
 }
 
-/// Counters for one worker of a work-stealing run.
+/// Counters for one worker of a [`run_pool`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Clusters this worker analyzed.
+    /// Tasks this worker ran.
     pub tasks: usize,
-    /// Of those, clusters taken from another worker's deque.
-    pub steals: usize,
-    /// Time spent inside cluster analysis (including retries), as opposed
-    /// to idling in the steal loop.
+    /// Time spent inside tasks, as opposed to starting up or waiting for
+    /// siblings to finish.
     pub busy: Duration,
 }
 
-/// Scheduler-level counters from one [`process_clusters_parallel_with_stats`]
-/// run: per-worker task/steal/busy numbers plus the pool's wall-clock.
+/// Scheduler-level counters from one [`run_pool`] run.
 #[derive(Clone, Debug, Default)]
-pub struct StealStats {
-    /// One entry per worker thread.
+pub struct PoolStats {
+    /// One entry per worker that ran: the calling thread first, then each
+    /// helper it started.
     pub workers: Vec<WorkerStats>,
-    /// Wall-clock for the whole pool (spawn to last join).
+    /// Wall-clock for the whole run (first task to last join).
     pub wall: Duration,
 }
 
-impl StealStats {
-    /// Total clusters taken from a sibling's deque.
-    pub fn total_steals(&self) -> usize {
-        self.workers.iter().map(|w| w.steals).sum()
+impl PoolStats {
+    /// Helper threads started besides the calling thread.
+    pub fn helpers(&self) -> usize {
+        self.workers.len().saturating_sub(1)
     }
 
     /// Pool utilization in `[0, 1]`: summed busy time over
@@ -183,12 +183,83 @@ impl StealStats {
     }
 }
 
-/// Analyzes clusters on `threads` OS threads with work stealing. Each
-/// worker owns a deque seeded with every `threads`-th cluster of
-/// [`lpt_order`] (striping spreads the big clusters across workers); the
-/// owner drains its deque head (largest first) and an idle worker steals
-/// from the *tail* of the next busy sibling, picking up the cheap clusters
-/// a straggler would otherwise hold hostage. Each worker owns its own
+/// The one worker pool of the workspace: runs tasks `0..order.len()` in
+/// the priority `order` gives (a permutation, largest task first — see
+/// [`lpt_order`]), each worker taking the next task from one shared
+/// cursor. An idle worker therefore always starts the largest task left,
+/// the list schedule [`list_schedule`] models.
+///
+/// The calling thread is the first worker. Once it has been running for
+/// `spawn_after` (checked each time it takes a task) and tasks remain, it
+/// starts `threads - 1` scoped helpers on the same cursor; a run that
+/// finishes sooner never pays for a thread. `Duration::ZERO` starts the
+/// helpers at the first task.
+///
+/// Every worker builds its own state with `init` on its own thread (so
+/// the state need not be `Send`), passes it to `task` for each task it
+/// takes, and hands it to `finish` before it ends. A task that must not
+/// leak state into the next one (a poisoned analyzer) resets it inside
+/// `task`. Results come back indexed by task, whatever worker ran it; a
+/// slot is `None` only if its helper died, which callers report or
+/// recompute rather than trust.
+pub fn run_pool<S, R, I, T, F>(
+    order: &[usize],
+    threads: usize,
+    spawn_after: Duration,
+    init: I,
+    task: T,
+    finish: F,
+) -> (Vec<Option<R>>, PoolStats)
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    T: Fn(&mut S, usize) -> R + Sync,
+    F: Fn(S) + Sync,
+{
+    let t0 = Instant::now();
+    let cursor = AtomicUsize::new(0);
+    let worker = |on_take: &mut dyn FnMut()| {
+        let mut state = init();
+        let mut done: Vec<(usize, R)> = Vec::new();
+        let mut stats = WorkerStats::default();
+        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            on_take();
+            let start = Instant::now();
+            done.push((i, task(&mut state, i)));
+            stats.tasks += 1;
+            stats.busy += start.elapsed();
+        }
+        finish(state);
+        (done, stats)
+    };
+    std::thread::scope(|scope| {
+        let mut helpers = Vec::new();
+        let spawn = |helpers: &mut Vec<_>| {
+            if helpers.is_empty()
+                && threads > 1
+                && cursor.load(Ordering::Relaxed) < order.len()
+                && t0.elapsed() >= spawn_after
+            {
+                helpers.extend((1..threads).map(|_| scope.spawn(|| worker(&mut || {}))));
+            }
+        };
+        let mine = worker(&mut || spawn(&mut helpers));
+        let mut out: Vec<Option<R>> = (0..order.len()).map(|_| None).collect();
+        let mut workers = Vec::with_capacity(1 + helpers.len());
+        let joined = helpers.into_iter().map(|h| h.join().unwrap_or_default());
+        for (done, stats) in std::iter::once(mine).chain(joined) {
+            for (i, r) in done {
+                out[i] = Some(r);
+            }
+            workers.push(stats);
+        }
+        let wall = t0.elapsed();
+        (out, PoolStats { workers, wall })
+    })
+}
+
+/// Analyzes clusters on up to `threads` OS threads through [`run_pool`],
+/// largest cluster first ([`lpt_order`]). Each worker owns its own
 /// analyzer, but all of them consult the session's shared FSCI cache
 /// ([`Session::fsci_cache_stats`] counts the sharing). Reports come back
 /// in cluster order regardless of which worker ran what, so output is
@@ -197,131 +268,50 @@ impl StealStats {
 /// Fault isolation matches the serial driver: every cluster is
 /// panic-guarded and retried once (fresh analyzer, doubled private arena)
 /// on panic or arena overflow; a worker whose analyzer was poisoned
-/// replaces it and keeps draining. A retry only delays the one worker that
-/// hit it — its remaining queue is stolen by the others. Every cluster
-/// slot always gets a report — if a worker vanishes without delivering one
-/// (which the panic guard should make impossible), the slot is filled with
-/// a [`DegradeReason::Panicked`] stub tagged [`PanicClass::WorkerLost`]
-/// rather than silently dropped or turned into a driver panic.
+/// replaces it with a sibling before its next cluster. A retry only delays
+/// the one worker that hit it — the others keep taking clusters. Every
+/// cluster slot always gets a report — if a worker vanishes without
+/// delivering one (which the panic guard should make impossible), the
+/// slot is filled with a [`DegradeReason::Panicked`] stub tagged
+/// [`PanicClass::WorkerLost`] rather than silently dropped or turned into
+/// a driver panic.
 pub fn process_clusters_parallel_with_stats(
     session: &Session<'_>,
     clusters: &[Cluster],
     threads: usize,
     steps_per_cluster: u64,
-) -> (Vec<ClusterReport>, StealStats) {
-    let threads = threads.max(1);
-    if threads == 1 || clusters.len() <= 1 {
-        let t0 = Instant::now();
-        let reports = process_clusters(session, clusters, steps_per_cluster);
-        let stats = StealStats {
-            workers: vec![WorkerStats {
-                tasks: reports.len(),
-                steals: 0,
-                busy: reports.iter().map(|r| r.duration).sum(),
-            }],
-            wall: t0.elapsed(),
-        };
-        return (reports, stats);
-    }
-    let workers: Vec<crossbeam::deque::Worker<usize>> = (0..threads)
-        .map(|_| crossbeam::deque::Worker::new_fifo())
+) -> (Vec<ClusterReport>, PoolStats) {
+    let (reports, stats) = run_pool(
+        &lpt_order(clusters),
+        threads,
+        Duration::ZERO,
+        || session.analyzer(),
+        |az, i| {
+            let (mut report, poisoned) =
+                run_cluster_guarded(session, az, &clusters[i], steps_per_cluster);
+            if poisoned {
+                *az = az.sibling();
+            }
+            if retryable(report.degraded) {
+                report = retry_cluster(session, &clusters[i], steps_per_cluster);
+            }
+            report
+        },
+        drop,
+    );
+    let reports = reports
+        .into_iter()
+        .zip(clusters)
+        .map(|(r, c)| {
+            r.unwrap_or_else(|| {
+                let lost = DegradeReason::Panicked {
+                    class: PanicClass::WorkerLost,
+                };
+                ClusterReport::stub(c, Duration::ZERO, lost)
+            })
+        })
         .collect();
-    let stealers: Vec<crossbeam::deque::Stealer<usize>> =
-        workers.iter().map(|w| w.stealer()).collect();
-    for (k, i) in lpt_order(clusters).into_iter().enumerate() {
-        workers[k % threads].push(i);
-    }
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, ClusterReport)>();
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(id, local)| {
-                let stealers = stealers.clone();
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    let mut stats = WorkerStats::default();
-                    let mut analyzer = session.analyzer();
-                    loop {
-                        // Own deque first; otherwise scan the siblings
-                        // (starting past ourselves so thieves spread out).
-                        let (i, stolen) = match local.pop() {
-                            Some(i) => (i, false),
-                            None => {
-                                let mut found = None;
-                                for off in 1..threads {
-                                    let victim = (id + off) % threads;
-                                    if let Some(i) = stealers[victim].steal().success() {
-                                        found = Some(i);
-                                        break;
-                                    }
-                                }
-                                match found {
-                                    Some(i) => (i, true),
-                                    // Every deque empty: tasks never spawn
-                                    // tasks, so no work can appear again.
-                                    None => break,
-                                }
-                            }
-                        };
-                        stats.tasks += 1;
-                        stats.steals += usize::from(stolen);
-                        let start = Instant::now();
-                        let (mut report, poisoned) = run_cluster_guarded(
-                            session,
-                            &analyzer,
-                            &clusters[i],
-                            steps_per_cluster,
-                        );
-                        if poisoned {
-                            analyzer = session.analyzer();
-                        }
-                        if retryable(report.degraded) {
-                            report = retry_cluster(session, &clusters[i], steps_per_cluster);
-                        }
-                        stats.busy += start.elapsed();
-                        // A closed result channel means the collector is
-                        // gone; keep draining so sibling sends do not back
-                        // up, but there is no one left to report to.
-                        let _ = res_tx.send((i, report));
-                    }
-                    stats
-                })
-            })
-            .collect();
-        drop(res_tx);
-        let mut out: Vec<Option<ClusterReport>> = vec![None; clusters.len()];
-        while let Ok((i, r)) = res_rx.recv() {
-            out[i] = Some(r);
-        }
-        let worker_stats: Vec<WorkerStats> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect();
-        let reports = out
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|| {
-                    ClusterReport::stub(
-                        &clusters[i],
-                        Duration::ZERO,
-                        DegradeReason::Panicked {
-                            class: PanicClass::WorkerLost,
-                        },
-                    )
-                })
-            })
-            .collect();
-        (
-            reports,
-            StealStats {
-                workers: worker_stats,
-                wall: t0.elapsed(),
-            },
-        )
-    })
+    (reports, stats)
 }
 
 /// [`process_clusters_parallel_with_stats`] without the scheduler counters.
@@ -339,7 +329,7 @@ pub fn process_clusters_parallel(
 /// counts; once a part's cumulative size exceeds `total/parts`, the part
 /// is closed. Returns the summed duration of each part. Because the parts
 /// are contiguous and fixed up front, the maximum bin is an *upper* bound
-/// on what the work-stealing pool achieves — use [`steal_schedule`] /
+/// on what the pool achieves — use [`list_schedule`] /
 /// [`simulated_parallel_time`] for the schedule the live driver runs.
 pub fn greedy_bins(reports: &[ClusterReport], parts: usize) -> Vec<Duration> {
     let parts = parts.max(1);
@@ -363,14 +353,13 @@ pub fn greedy_bins(reports: &[ClusterReport], parts: usize) -> Vec<Duration> {
     bins
 }
 
-/// Models the work-stealing pool over measured per-cluster durations: a
-/// greedy list schedule in longest-processing-time order (ties by cluster
-/// index), each cluster going to the earliest-free worker. This is the
-/// steady state an idle-steals-from-busy pool converges to — a worker
-/// only idles when every deque is empty — and is deterministic, unlike
-/// the live pool's actual task placement. Returns per-worker busy times;
+/// Models [`run_pool`] over measured per-cluster durations: a greedy list
+/// schedule in longest-processing-time order (ties by cluster index), each
+/// cluster going to the earliest-free worker — what the shared cursor
+/// does, a worker only idling once the cursor is exhausted. Unlike the
+/// live pool's task placement, the model is deterministic. Returns per-worker busy times;
 /// the makespan is the maximum entry.
-pub fn steal_schedule(reports: &[ClusterReport], workers: usize) -> Vec<Duration> {
+pub fn list_schedule(reports: &[ClusterReport], workers: usize) -> Vec<Duration> {
     let workers = workers.max(1);
     let mut order: Vec<usize> = (0..reports.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(reports[i].duration), i));
@@ -384,13 +373,13 @@ pub fn steal_schedule(reports: &[ClusterReport], workers: usize) -> Vec<Duration
     loads
 }
 
-/// The simulated parallel time over `parts` machines under the
-/// work-stealing schedule model ([`steal_schedule`]) — the makespan the
+/// The simulated parallel time over `parts` machines under the pool's
+/// schedule model ([`list_schedule`]) — the makespan the
 /// pool converges to given the measured per-cluster durations. (The
 /// paper's Table 1 reports the same quantity for its static 5-machine
 /// split; [`greedy_bins`] reproduces that older, looser model.)
 pub fn simulated_parallel_time(reports: &[ClusterReport], parts: usize) -> Duration {
-    steal_schedule(reports, parts)
+    list_schedule(reports, parts)
         .into_iter()
         .max()
         .unwrap_or(Duration::ZERO)
@@ -603,10 +592,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_reports_stay_in_deterministic_cluster_order() {
+    fn pooled_reports_stay_in_deterministic_cluster_order() {
         // Across 1/2/4 threads — and across repeated runs at each width —
-        // the work-stealing driver must return the same reports in cluster
-        // order; only durations may differ (they depend on the schedule).
+        // the pooled driver must return the same reports in cluster order;
+        // only durations may differ (they depend on the schedule).
         let p = demo_program();
         let s = Session::new(&p, Config::default());
         let clusters = s.cover().clusters().to_vec();
@@ -628,22 +617,69 @@ mod tests {
                     assert_eq!(r.degraded, b.degraded);
                 }
                 // Scheduler accounting: every cluster ran exactly once,
-                // somewhere; steals never exceed tasks.
-                let expected_workers = if threads == 1 { 1 } else { threads };
-                assert_eq!(stats.workers.len(), expected_workers);
+                // somewhere, and a zero spawn threshold starts every helper.
+                assert_eq!(stats.workers.len(), threads);
                 assert_eq!(
                     stats.workers.iter().map(|w| w.tasks).sum::<usize>(),
                     clusters.len()
                 );
-                for w in &stats.workers {
-                    assert!(w.steals <= w.tasks);
-                }
             }
         }
     }
 
     #[test]
-    fn steal_schedule_balances_skewed_durations() {
+    fn pool_spawns_only_after_the_threshold_with_work_left() {
+        let order: Vec<usize> = (0..8).collect();
+        let run = |threads, spawn_after| {
+            run_pool(
+                &order,
+                threads,
+                spawn_after,
+                || 0usize,
+                |n, i| {
+                    *n += 1;
+                    i * 10
+                },
+                drop,
+            )
+        };
+        // A threshold no batch reaches: the calling thread runs it all.
+        let (out, stats) = run(4, Duration::from_secs(3600));
+        assert_eq!(stats.helpers(), 0);
+        assert_eq!(stats.workers[0].tasks, 8);
+        let want: Vec<Option<usize>> = (0..8).map(|i| Some(i * 10)).collect();
+        assert_eq!(out, want);
+        // Zero: helpers start at the first task; results keep task order.
+        let (out, stats) = run(4, Duration::ZERO);
+        assert_eq!(stats.helpers(), 3);
+        assert_eq!(stats.workers.iter().map(|w| w.tasks).sum::<usize>(), 8);
+        assert_eq!(out, want);
+        // One task left for nobody else: no helper.
+        let (_, stats) = run_pool(&[0], 4, Duration::ZERO, || (), |_, _| (), drop);
+        assert_eq!(stats.helpers(), 0);
+    }
+
+    #[test]
+    fn pool_hands_each_worker_state_to_finish() {
+        use std::sync::atomic::AtomicUsize;
+        let finished = AtomicUsize::new(0);
+        let order: Vec<usize> = (0..16).collect();
+        let (_, stats) = run_pool(
+            &order,
+            3,
+            Duration::ZERO,
+            Vec::new,
+            |seen: &mut Vec<usize>, i| seen.push(i),
+            |seen| {
+                finished.fetch_add(seen.len(), Ordering::Relaxed);
+            },
+        );
+        assert_eq!(stats.workers.len(), 3);
+        assert_eq!(finished.load(Ordering::Relaxed), 16);
+    }
+
+    #[test]
+    fn list_schedule_balances_skewed_durations() {
         let mk = |id, ms| ClusterReport {
             cluster_id: id,
             size: 1,
@@ -654,13 +690,13 @@ mod tests {
             degraded: None,
         };
         // One 8ms straggler plus seven 1ms clusters on 2 workers: the
-        // steal model puts the straggler alone (makespan 8ms) while the
+        // list model puts the straggler alone (makespan 8ms) while the
         // static contiguous binning can do no better than lump the
         // straggler with neighbours.
         let reports: Vec<ClusterReport> = std::iter::once(mk(0, 8))
             .chain((1..8).map(|i| mk(i, 1)))
             .collect();
-        let loads = steal_schedule(&reports, 2);
+        let loads = list_schedule(&reports, 2);
         assert_eq!(loads.len(), 2);
         let total: Duration = loads.iter().sum();
         assert_eq!(total, Duration::from_millis(15), "all work scheduled");

@@ -4,8 +4,10 @@
 //! steps, and invocation counts for the four cascade phases: Steensgaard
 //! partitioning, the Andersen (clustering) refinement, relevant-statement
 //! slicing (Algorithm 1, engine construction), and the FSCS summarization
-//! itself. All counters are atomics so parallel LPT workers record into the
-//! shared profile without locking; snapshots are monotonic.
+//! itself. All counters are atomics so parallel workers record into the
+//! shared profile without locking; snapshots are monotonic. Wall times are
+//! summed over workers, so a phase that ran on several threads at once can
+//! report more time than passed on the clock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -47,7 +49,8 @@ impl Phase {
 /// A snapshot of one phase's accumulated counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStats {
-    /// Total wall-clock time spent in the phase.
+    /// Wall-clock time spent in the phase, summed over every thread that
+    /// ran it.
     pub wall: Duration,
     /// Engine steps performed in the phase (zero for phases that do not
     /// run the walk).

@@ -12,39 +12,43 @@
 //! partition `{a, b}` even though `p` shares a Steensgaard partition with
 //! `x`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use bootstrap_analyses::SteensgaardResult;
 use bootstrap_ir::{CallGraph, FuncId, Loc, Program, Stmt, VarId};
+use bootstrap_store::{FxHashMap, FxHashSet};
 
-/// The result of Algorithm 1 for one cluster.
+/// The result of Algorithm 1 for one cluster. Each set is a sorted
+/// vector, so iteration order is a function of the program alone: the
+/// Andersen solves and engines fed from a slice do the same work in every
+/// process.
 #[derive(Clone, Debug)]
 pub struct RelevantSet {
     /// `V_P`: variables whose values may affect aliases of the cluster.
-    vars: HashSet<VarId>,
+    vars: Vec<VarId>,
     /// `St_P`: locations of statements that modify a variable of `V_P`.
-    stmts: HashSet<Loc>,
+    stmts: Vec<Loc>,
     /// Functions containing at least one statement of `St_P`.
-    funcs: HashSet<FuncId>,
+    funcs: Vec<FuncId>,
 }
 
 impl RelevantSet {
     /// Returns `true` if `v` is in `V_P`.
     pub fn contains_var(&self, v: VarId) -> bool {
-        self.vars.contains(&v)
+        self.vars.binary_search(&v).is_ok()
     }
 
     /// Returns `true` if the statement at `loc` is in `St_P`.
     pub fn contains_stmt(&self, loc: Loc) -> bool {
-        self.stmts.contains(&loc)
+        self.stmts.binary_search(&loc).is_ok()
     }
 
-    /// The variables of `V_P`.
+    /// The variables of `V_P`, ascending.
     pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
         self.vars.iter().copied()
     }
 
-    /// The locations of `St_P`.
+    /// The locations of `St_P`, ascending.
     pub fn stmts(&self) -> impl Iterator<Item = Loc> + '_ {
         self.stmts.iter().copied()
     }
@@ -59,7 +63,7 @@ impl RelevantSet {
         self.vars.len()
     }
 
-    /// Functions that directly contain a relevant statement.
+    /// Functions that directly contain a relevant statement, ascending.
     pub fn funcs(&self) -> impl Iterator<Item = FuncId> + '_ {
         self.funcs.iter().copied()
     }
@@ -67,7 +71,7 @@ impl RelevantSet {
     /// Returns `true` if function `f` directly contains a relevant
     /// statement.
     pub fn touches_func(&self, f: FuncId) -> bool {
-        self.funcs.contains(&f)
+        self.funcs.binary_search(&f).is_ok()
     }
 }
 
@@ -79,21 +83,21 @@ impl RelevantSet {
 pub struct RelevantIndex {
     /// Statements directly defining a variable (`Copy`/`AddrOf`/`Load`/
     /// `Null` keyed by their destination).
-    defs_of: HashMap<VarId, Vec<Loc>>,
+    defs_of: FxHashMap<VarId, Vec<Loc>>,
     /// Store statements keyed by the Steensgaard class they may write
     /// (the pointee class of the store base).
-    stores_writing: HashMap<u32, Vec<Loc>>,
+    stores_writing: FxHashMap<u32, Vec<Loc>>,
     /// Variables whose address is taken somewhere (`&v` or a heap object);
     /// the path-sensitive mode refuses to track branch literals on these.
-    addr_taken: HashSet<VarId>,
+    addr_taken: FxHashSet<VarId>,
 }
 
 impl RelevantIndex {
     /// Builds the index for `program`.
     pub fn build(program: &Program, st: &SteensgaardResult) -> Self {
-        let mut defs_of: HashMap<VarId, Vec<Loc>> = HashMap::new();
-        let mut stores_writing: HashMap<u32, Vec<Loc>> = HashMap::new();
-        let mut addr_taken: HashSet<VarId> = HashSet::new();
+        let mut defs_of: FxHashMap<VarId, Vec<Loc>> = FxHashMap::default();
+        let mut stores_writing: FxHashMap<u32, Vec<Loc>> = FxHashMap::default();
+        let mut addr_taken: FxHashSet<VarId> = FxHashSet::default();
         for (loc, stmt) in program.all_locs() {
             match *stmt {
                 Stmt::AddrOf { dst, obj } => {
@@ -150,12 +154,12 @@ pub fn relevant_statements_indexed(
     index: &RelevantIndex,
     members: &[VarId],
 ) -> RelevantSet {
-    let mut vars: HashSet<VarId> = members.iter().copied().collect();
+    let mut vars: FxHashSet<VarId> = members.iter().copied().collect();
     let mut worklist: Vec<VarId> = members.to_vec();
     // Steensgaard classes whose store statements have been pulled in.
-    let mut classes_done: HashSet<u32> = HashSet::new();
+    let mut classes_done: FxHashSet<u32> = FxHashSet::default();
 
-    let add = |v: VarId, vars: &mut HashSet<VarId>, wl: &mut Vec<VarId>| {
+    let add = |v: VarId, vars: &mut FxHashSet<VarId>, wl: &mut Vec<VarId>| {
         if vars.insert(v) {
             wl.push(v);
         }
@@ -199,26 +203,23 @@ pub fn relevant_statements_indexed(
     }
 
     // St_P: statements that modify a variable of V_P.
-    let mut stmts = HashSet::new();
-    let mut funcs = HashSet::new();
-    for &v in &vars {
-        if let Some(defs) = index.defs_of.get(&v) {
-            for &loc in defs {
-                if stmts.insert(loc) {
-                    funcs.insert(loc.func);
-                }
-            }
-        }
-    }
-    for class in &classes_done {
-        if let Some(stores) = index.stores_writing.get(class) {
-            for &loc in stores {
-                if stmts.insert(loc) {
-                    funcs.insert(loc.func);
-                }
-            }
-        }
-    }
+    let mut stmts: Vec<Loc> = vars
+        .iter()
+        .filter_map(|v| index.defs_of.get(v))
+        .chain(
+            classes_done
+                .iter()
+                .filter_map(|c| index.stores_writing.get(c)),
+        )
+        .flatten()
+        .copied()
+        .collect();
+    stmts.sort_unstable();
+    stmts.dedup();
+    let mut funcs: Vec<FuncId> = stmts.iter().map(|loc| loc.func).collect();
+    funcs.dedup();
+    let mut vars: Vec<VarId> = vars.into_iter().collect();
+    vars.sort_unstable();
 
     RelevantSet { vars, stmts, funcs }
 }

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use bootstrap_analyses::{andersen, steensgaard, SteensgaardResult};
+use bootstrap_analyses::{andersen, steensgaard, ClassId, SteensgaardResult};
 use bootstrap_ir::{CallGraph, FuncId, Loc, Program, Stmt, VarId};
 use bootstrap_store::{StoreConfig, StoreCounters};
 use parking_lot::RwLock;
@@ -199,7 +199,9 @@ pub struct Session<'p> {
     cover: AliasCover,
     pointers: Vec<VarId>,
     callers_of: HashMap<FuncId, Vec<Loc>>,
-    alias_partitions: HashMap<bootstrap_analyses::ClassId, Vec<VarId>>,
+    /// The Steensgaard alias partitions, sorted by key (so a key is found
+    /// by binary search), each member list sorted.
+    alias_partitions: Vec<(ClassId, Vec<VarId>)>,
     timings: CascadeTimings,
     /// Clean FSCI results, shared by every analyzer of this session (the
     /// session stays logically immutable: the cache is a memo table over a
@@ -214,7 +216,7 @@ pub struct Session<'p> {
     /// Lazily computed tier-2 fallbacks: per alias partition, an Andersen
     /// points-to result over the partition's relevant slice. Shared across
     /// analyzers like the FSCI cache (memo of a deterministic function).
-    andersen_tiers: RwLock<HashMap<bootstrap_analyses::ClassId, Arc<AndersenTier>>>,
+    andersen_tiers: RwLock<HashMap<ClassId, Arc<AndersenTier>>>,
     /// Aggregated Andersen solver work counters: the cover-build runs at
     /// construction plus every lazily built tier-2 slice solve since.
     solver_stats: RwLock<andersen::SolverStats>,
@@ -236,7 +238,7 @@ pub struct Session<'p> {
     /// Memo of [`Session::program_content_hash`].
     program_hash: OnceLock<u64>,
     /// Memo of [`Session::partition_id`].
-    partition_ids: RwLock<HashMap<bootstrap_analyses::ClassId, u64>>,
+    partition_ids: RwLock<HashMap<ClassId, u64>>,
     /// Store entries this epoch accepts or wrote (see [`AdoptionLedger`]).
     ledger: AdoptionLedger,
     /// Memo of the incremental tracking units, shared by
@@ -278,8 +280,7 @@ impl<'p> Session<'p> {
         }
 
         let t1 = Instant::now();
-        let alias_partitions: HashMap<bootstrap_analyses::ClassId, Vec<VarId>> =
-            steens.alias_partitions(program).into_iter().collect();
+        let alias_partitions = steens.alias_partitions(program);
         let (cover, cover_solver_stats) =
             build_cover(program, &steens, &index, &config, &alias_partitions);
         let clustering_time = t1.elapsed();
@@ -552,11 +553,7 @@ impl<'p> Session<'p> {
     }
 
     /// The cached tier-2 Andersen result for one alias partition.
-    fn andersen_tier(
-        &self,
-        key: bootstrap_analyses::ClassId,
-        members: &[VarId],
-    ) -> Arc<AndersenTier> {
+    fn andersen_tier(&self, key: ClassId, members: &[VarId]) -> Arc<AndersenTier> {
         if let Some(r) = self.andersen_tiers.read().get(&key) {
             return Arc::clone(r);
         }
@@ -614,7 +611,7 @@ impl<'p> Session<'p> {
 
     /// Epoch-stable identity of the partition `class` (hash of its sorted
     /// member names); computed once per class per session.
-    pub(crate) fn partition_id(&self, class: bootstrap_analyses::ClassId) -> u64 {
+    pub(crate) fn partition_id(&self, class: ClassId) -> u64 {
         if let Some(&id) = self.partition_ids.read().get(&class) {
             return id;
         }
@@ -771,26 +768,25 @@ impl<'p> Session<'p> {
 
     /// The members of the Steensgaard alias partition with the given key
     /// (see [`SteensgaardResult::partition_key`]).
-    pub fn partition_members(&self, key: bootstrap_analyses::ClassId) -> &[VarId] {
+    pub fn partition_members(&self, key: ClassId) -> &[VarId] {
         self.alias_partitions
-            .get(&key)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .binary_search_by_key(&key, |(class, _)| *class)
+            .map_or(&[], |i| &self.alias_partitions[i].1)
+    }
+
+    /// Every Steensgaard alias partition with its members, sorted by key.
+    pub(crate) fn alias_partitions(&self) -> &[(ClassId, Vec<VarId>)] {
+        &self.alias_partitions
     }
 
     /// The pure Steensgaard cover: one cluster per alias partition
     /// (Table 1 columns 7–9 run FSCS on this cover).
     pub fn steensgaard_cover(&self) -> AliasCover {
-        let mut keys: Vec<_> = self.alias_partitions.keys().copied().collect();
-        keys.sort();
-        let clusters = keys
-            .into_iter()
-            .map(|key| {
-                Cluster::new(
-                    0,
-                    ClusterOrigin::Steensgaard(key),
-                    self.alias_partitions[&key].clone(),
-                )
+        let clusters = self
+            .alias_partitions
+            .iter()
+            .map(|(key, members)| {
+                Cluster::new(0, ClusterOrigin::Steensgaard(*key), members.clone())
             })
             .collect();
         AliasCover::new(clusters)
@@ -814,26 +810,28 @@ fn build_cover(
     steens: &SteensgaardResult,
     index: &RelevantIndex,
     config: &Config,
-    alias_partitions: &HashMap<bootstrap_analyses::ClassId, Vec<VarId>>,
+    alias_partitions: &[(ClassId, Vec<VarId>)],
 ) -> (AliasCover, andersen::SolverStats) {
-    let mut keys: Vec<_> = alias_partitions.keys().copied().collect();
-    keys.sort();
     let mut clusters = Vec::new();
     let mut solver_stats = andersen::SolverStats::default();
-    for class in keys {
-        let members: Vec<VarId> = alias_partitions[&class].clone();
+    for (class, members) in alias_partitions {
+        let class = *class;
         if members.len() <= config.andersen_threshold {
-            clusters.push(Cluster::new(0, ClusterOrigin::Steensgaard(class), members));
+            clusters.push(Cluster::new(
+                0,
+                ClusterOrigin::Steensgaard(class),
+                members.clone(),
+            ));
             continue;
         }
         // Oversized: Andersen, bootstrapped — restricted to the
         // partition's relevant statements.
-        let rel = relevant_statements_indexed(program, steens, index, &members);
+        let rel = relevant_statements_indexed(program, steens, index, members);
         let stmts: Vec<&Stmt> = rel.stmts().map(|loc| program.stmt_at(loc)).collect();
         let (an, run_stats) =
             andersen::analyze_stmts_with_stats(stmts, andersen::SolverMode::default());
         solver_stats.absorb(&run_stats);
-        for ac in an.clusters(&members) {
+        for ac in an.clusters(members) {
             clusters.push(Cluster::new(
                 0,
                 ClusterOrigin::Andersen {

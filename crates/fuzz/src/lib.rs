@@ -4,9 +4,9 @@
 //! [`bootstrap_workloads::minic`]), runs every engine configuration the
 //! workspace ships — naive vs difference-propagation Andersen (with every
 //! hybrid-cycle × wave solver combination), interned vs uninterned FSCS
-//! walks, sequential vs work-stealing parallel cluster processing at 1, 2
-//! and 4 threads — and asserts the soundness lattice that makes
-//! bootstrapping correct:
+//! walks, sequential vs pooled parallel cluster processing and checker
+//! batches at 1, 2 and 4 threads — and asserts the soundness lattice that
+//! makes bootstrapping correct:
 //!
 //! * every Andersen solver configuration (hybrid cycle elimination on/off
 //!   × wave propagation on/off) computes *identical* points-to sets to the
@@ -20,9 +20,10 @@
 //! * FSCS value sources and FSCI points-to facts stay inside the
 //!   Steensgaard candidate sets the walks are seeded from;
 //! * interned and uninterned walks produce identical summary snapshots;
-//! * cluster reports are identical across thread counts (modulo wall
-//!   time), and site queries / checker reports are identical across fresh
-//!   sessions and across `andersen_threshold` settings;
+//! * cluster reports and checker reports are identical across thread
+//!   counts (modulo wall time), also under injected query faults, and
+//!   site queries / checker reports are identical across fresh sessions
+//!   and across `andersen_threshold` settings;
 //! * the data-race detector is conservative: `--only race` matches the
 //!   race subset of a full run, Error-severity races carry provably empty
 //!   full-precision locksets, and forcing the ladder down to may-alias
@@ -42,14 +43,16 @@ use std::collections::HashSet;
 use std::fs;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::time::Duration;
 
 use bootstrap_analyses::andersen::{self, SolverMode};
 use bootstrap_analyses::steensgaard;
-use bootstrap_checks::{run_checks, CheckReport, CheckerKind};
+use bootstrap_checks::{run_checks, run_checks_scheduled, CheckReport, CheckerKind};
 use bootstrap_core::parallel::{lpt_order, process_clusters, process_clusters_parallel};
 use bootstrap_core::{
     AnalysisBudget, ClusterEngine, ClusterReport, Config, EngineCx, EngineOptions, FaultKind,
-    FaultPhase, FaultPlan, LadderAnswer, NoOracle, Outcome, Precision, Session, Source,
+    FaultPhase, FaultPlan, LadderAnswer, NoOracle, Outcome, Precision, QueryLimits, Session,
+    Source,
 };
 use bootstrap_ir::{Program, VarId};
 use bootstrap_workloads::minic::{self, MiniCConfig, MiniCProgram};
@@ -199,6 +202,45 @@ fn findings_key(r: &CheckReport) -> Vec<String> {
             )
         })
         .collect()
+}
+
+/// The schedule-independent part of a [`CheckReport`]: findings, checker
+/// counters and the degradation summary.
+fn batch_key(r: &CheckReport) -> String {
+    format!("{:?} {:?} {:?}", findings_key(r), r.stats, r.degrade)
+}
+
+/// Checker batches under `config` at 2 and 4 threads, helpers started at
+/// once, must answer exactly as at 1 thread.
+fn check_batch_schedules(program: &Program, config: &Config) -> Result<(), InvariantViolation> {
+    let batch = |threads| {
+        let session = Session::new(program, config.clone());
+        let limits = QueryLimits::none();
+        let az = session.analyzer();
+        let (report, _) = run_checks_scheduled(
+            &session,
+            &CheckerKind::ALL,
+            &limits,
+            az,
+            threads,
+            Duration::ZERO,
+        );
+        batch_key(&report)
+    };
+    let one = batch(1);
+    for threads in [2usize, 4] {
+        let many = batch(threads);
+        if one != many {
+            return viol(
+                "parallel-checks-divergence",
+                format!(
+                    "checker batch differs at {threads} threads under {:?}: {one} vs {many}",
+                    config.fault_plan
+                ),
+            );
+        }
+    }
+    Ok(())
 }
 
 /// Parses `src` and checks every cross-engine invariant on it.
@@ -479,7 +521,7 @@ fn check_program(program: &Program) -> Result<(), InvariantViolation> {
         }
     }
 
-    // --- Sequential vs work-stealing parallel cluster processing ---------
+    // --- Sequential vs pooled parallel cluster processing ----------------
     let s_seq = Session::new(program, base_config());
     let seq: Vec<String> = process_clusters(&s_seq, s_seq.cover().clusters(), STEPS_PER_CLUSTER)
         .iter()
@@ -499,6 +541,8 @@ fn check_program(program: &Program) -> Result<(), InvariantViolation> {
             );
         }
     }
+
+    check_batch_schedules(program, &base_config())?;
 
     // --- Checker determinism + threshold metamorphic invariance ----------
     let c1 = run_checks(&Session::new(program, base_config()), &CheckerKind::ALL);
@@ -632,6 +676,8 @@ pub fn check_faults_source(src: &str) -> Result<(), InvariantViolation> {
 /// * with a fault pinned to the largest cluster's summary phase, every
 ///   driver (serial, 2- and 4-thread LPT) still returns one report per
 ///   cluster, and every non-target report matches the clean baseline;
+/// * under a query fault, a checker batch answers the same at 1, 2 and 4
+///   threads;
 /// * the persistent-store invariants of [`check_store`] hold.
 ///
 /// [`DegradeReason`]: bootstrap_core::DegradeReason
@@ -727,6 +773,24 @@ pub fn check_faults(program: &Program) -> Result<(), InvariantViolation> {
                     }
                 }
             }
+        }
+    }
+
+    // --- Query faults do not make checker batches schedule-dependent -----
+    // A fault at the first tick fires in every walk; a later one lets
+    // short walks finish, so groups mix clean and degraded answers.
+    for kind in FaultKind::ALL {
+        for at_tick in [1, 3] {
+            let config = Config {
+                fault_plan: Some(FaultPlan {
+                    phase: FaultPhase::Query,
+                    kind,
+                    at_tick,
+                    cluster: None,
+                }),
+                ..base_config()
+            };
+            check_batch_schedules(program, &config)?;
         }
     }
 
